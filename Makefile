@@ -7,8 +7,10 @@ all: build test lint
 build:
 	$(GO) build ./...
 
+# perfbench is a separate module, so ./... does not reach it.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # lint builds the simvet vettool and runs the full determinism & protocol
 # analyzer suite over every package, then the analyzers' own fixture tests.

@@ -14,14 +14,12 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
 	"time"
 
 	"tsue/internal/cluster"
 	"tsue/internal/netsim"
 	"tsue/internal/sim"
-	"tsue/internal/trace"
 	"tsue/internal/update"
 	"tsue/internal/wire"
 )
@@ -60,23 +58,13 @@ func chaosStragglerDist() netsim.Dist {
 // stays a perturbation rather than the workload.
 const chaosCorruptRate = 31
 
-// ChaosResult captures one chaos run.
+// ChaosResult captures one chaos run. Its Window is the fault window.
 type ChaosResult struct {
 	Cfg      RunConfig
 	Scenario string
 	// Report is the recovery report for the kill scenarios; nil for the
 	// live-fault scenarios (partition, flap, corrupt), which never kill.
 	Report *cluster.RecoveryReport
-	// BaselineIOPS is foreground update throughput before the fault
-	// window; DuringIOPS is throughput inside it; DipPct the relative drop.
-	BaselineIOPS float64
-	DuringIOPS   float64
-	DipPct       float64
-	// ReadLats are latencies of reader-probe reads issued inside the fault
-	// window — the tail each fault inflates. ReadErrs counts window reads
-	// that exhausted their retry budget.
-	ReadLats []time.Duration
-	ReadErrs int
 	// HedgeFired/HedgeWins aggregate the hedged-read counters across OSDs.
 	HedgeFired, HedgeWins int64
 	// CorruptInjected is what the fabric flipped; CorruptDetected what the
@@ -85,23 +73,7 @@ type ChaosResult struct {
 	// RepairedBlocks counts blocks ScrubRepair re-encoded after the flap
 	// scenario (stripes torn by mid-update message drops).
 	RepairedBlocks int
-	// Stripes is the number of stripes scrubbed clean after the run.
-	Stripes int
-
-	// readDist caches the sorted ReadLats; built on first ReadP call, after
-	// the run has finished appending samples.
-	readDist *LatencyDist
-}
-
-// ReadP returns the p-quantile of the window read latencies. The samples
-// are sorted once and cached, so printing a row at p50/p95/p99/p999 pays
-// for one sort total.
-func (r *ChaosResult) ReadP(p float64) time.Duration {
-	if r.readDist == nil {
-		d := NewLatencyDist(r.ReadLats)
-		r.readDist = &d
-	}
-	return r.readDist.P(p)
+	Window
 }
 
 // flipCorruptor corrupts every rate-th checksum-bearing payload crossing
@@ -172,288 +144,126 @@ func chaosKills(scenario string) bool {
 }
 
 // RunChaos preloads a volume, runs the degraded experiment's foreground
-// update + reader-probe workload, arms the scenario's fault a third of the
+// update + reader-probe workload (with a denser probe pool: the fault
+// windows are short fixed slices of virtual time, so the tail estimate
+// needs every sample it can get), arms the scenario's fault a third of the
 // way through, and measures the read tail inside the fault window. Kill
-// scenarios recover under RecoverInterleaved while the fault is live;
+// scenarios recover under RecoverInterleaved once the window has closed;
 // live-fault scenarios heal the fabric after a fixed virtual window. Every
 // run ends with a drain, a tear-repair scrub where the fault can tear
 // stripes, and a full verification scrub.
-func RunChaos(cfg RunConfig, scenario string) (*ChaosResult, error) {
-	c, err := buildCluster(cfg)
-	if err != nil {
+func RunChaos(cfg RunConfig, scen string) (*ChaosResult, error) {
+	res := &ChaosResult{Cfg: cfg, Scenario: scen}
+	var victim wire.NodeID
+	sc := scenario{
+		name:        "chaos",
+		payloadSeed: 999,
+		readersPer:  2,
+		minReaders:  4,
+		readerGap:   250 * time.Microsecond,
+		script: func(p *sim.Proc, r *scenarioRun) error {
+			var err error
+			victim, err = chaosFault(p, r, scen)
+			return err
+		},
+		after: func(p *sim.Proc, r *scenarioRun) error {
+			c := r.c
+			if victim != 0 {
+				rep, err := c.Recover(p, victim, 8, cluster.RecoverInterleaved, r.admin)
+				if err != nil {
+					return fmt.Errorf("recover (%s): %w", scen, err)
+				}
+				res.Report = rep
+			}
+			res.HedgeFired, res.HedgeWins = c.HedgeStats()
+			res.CorruptInjected = c.Fabric.CorruptionsInjected()
+			res.CorruptDetected = c.CorruptionsDetected()
+			if res.CorruptDetected != res.CorruptInjected {
+				return fmt.Errorf("%s: %d corruptions injected but %d detected — silent escape",
+					scen, res.CorruptInjected, res.CorruptDetected)
+			}
+			return nil
+		},
+	}
+	if scen == ChaosFlap {
+		sc.repaired = &res.RepairedBlocks
+	}
+	if err := runScenario(cfg, sc, &res.Window); err != nil {
 		return nil, err
 	}
-	defer c.Env.Close()
-	admin := c.NewClient()
-	res := &ChaosResult{Cfg: cfg, Scenario: scenario}
-	var runErr error
-	c.Env.Go("chaos-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		c.ResetStats()
-
-		payload := make([]byte, 1<<20)
-		rand.New(rand.NewSource(cfg.Seed + 999)).Read(payload)
-
-		nClients := cfg.Clients
-		if nClients < 1 {
-			nClients = 1
-		}
-		opsPer := 20 * cfg.Ops / nClients
-		stop := false
-		done := 0
-		start := p.Now()
-		wg := sim.NewWaitGroup(c.Env)
-		wg.Add(nClients)
-		var clientErr error
-		var clientIDs []wire.NodeID
-		for ci := 0; ci < nClients; ci++ {
-			ci := ci
-			cl := c.NewClient()
-			clientIDs = append(clientIDs, cl.ID())
-			ino := inos[ci%len(inos)]
-			prof := cfg.Trace
-			prof.WorkingSet = perFile
-			gen := trace.MustGenerator(prof, cfg.Seed+int64(ci)*7919)
-			c.Env.Go(fmt.Sprintf("fg%d", ci), func(cp *sim.Proc) {
-				defer wg.Done()
-				for j := 0; j < opsPer && !stop; j++ {
-					op := gen.Next()
-					for op.Kind != trace.Write {
-						op = gen.Next()
-					}
-					off := op.Off
-					if off+int64(op.Size) > perFile {
-						off = perFile - int64(op.Size)
-					}
-					pstart := int(off) % (len(payload) - int(op.Size))
-					if err := cl.Update(cp, ino, off, payload[pstart:pstart+int(op.Size)]); err != nil {
-						if clientErr == nil {
-							clientErr = fmt.Errorf("foreground client %d op %d: %w", ci, j, err)
-						}
-						return
-					}
-					done++
-				}
-			})
-		}
-
-		type readSample struct{ start, lat time.Duration }
-		var samples []readSample
-		var errStarts []time.Duration
-		// A denser probe pool than the degraded experiment's: the fault
-		// windows are short fixed slices of virtual time, so the tail
-		// estimate needs every sample it can get.
-		nReaders := nClients / 2
-		if nReaders < 4 {
-			nReaders = 4
-		}
-		for ri := 0; ri < nReaders; ri++ {
-			ri := ri
-			rcl := c.NewClient()
-			clientIDs = append(clientIDs, rcl.ID())
-			ino := inos[ri%len(inos)]
-			prof := cfg.Trace
-			prof.WorkingSet = perFile
-			rgen := trace.MustGenerator(prof, cfg.Seed+int64(1000+ri)*104651)
-			wg.Add(1)
-			c.Env.Go(fmt.Sprintf("rd%d", ri), func(cp *sim.Proc) {
-				defer wg.Done()
-				for j := 0; j < opsPer && !stop; j++ {
-					op := rgen.Next()
-					off := op.Off
-					if off+int64(op.Size) > perFile {
-						off = perFile - int64(op.Size)
-					}
-					issued := cp.Now()
-					if _, err := rcl.Read(cp, ino, off, int64(op.Size)); err != nil {
-						errStarts = append(errStarts, issued)
-					} else {
-						samples = append(samples, readSample{start: issued, lat: cp.Now() - issued})
-					}
-					cp.Sleep(250 * time.Microsecond)
-				}
-			})
-		}
-
-		warmTarget := cfg.Ops / 3
-		if warmTarget < 1 {
-			warmTarget = 1
-		}
-		for done < warmTarget && clientErr == nil {
-			p.Sleep(100 * time.Microsecond)
-		}
-		if clientErr != nil {
-			runErr = clientErr
-			return
-		}
-		preOps := done
-		t0 := p.Now()
-
-		// Target selection: the most-loaded OSD is the kill victim (so the
-		// rebuild volume is representative); the fault target for the
-		// live-fault scenarios and the straggler is the most-loaded
-		// survivor, so the fault actually intersects the workload.
-		mostLoaded := func(exclude wire.NodeID) wire.NodeID {
-			id, most := wire.NodeID(1), -1
-			for _, osd := range c.OSDs {
-				if osd.NodeID() == exclude {
-					continue
-				}
-				if n := osd.Store().Len(); n > most {
-					most = n
-					id = osd.NodeID()
-				}
-			}
-			return id
-		}
-
-		var victim wire.NodeID
-		switch scenario {
-		case ChaosBaseline, ChaosStraggler:
-			// Degraded window of fixed virtual length: the victim is down
-			// and the degraded route serves (reads of lost blocks
-			// reconstruct on the fly, updates journal at the surrogate),
-			// with one lognormal-slow survivor in the straggler variant.
-			// Recovery runs AFTER the window closes, so the measured tail
-			// is the straggler's (and the hedge's), not each engine's
-			// rebuild-duration artifact.
-			victim = mostLoaded(0)
-			target := mostLoaded(victim)
-			if err := c.Fabric.SetDown(victim, true); err != nil {
-				runErr = err
-				return
-			}
-			if err := c.BeginDegraded(p, victim, admin); err != nil {
-				runErr = fmt.Errorf("begin degraded (%s): %w", scenario, err)
-				return
-			}
-			if scenario == ChaosStraggler {
-				if err := c.Fabric.SetNodeShape(target, netsim.LinkShape{Latency: chaosStragglerDist()}); err != nil {
-					runErr = err
-					return
-				}
-			}
-			p.Sleep(10 * time.Millisecond)
-			if scenario == ChaosStraggler {
-				if err := c.Fabric.SetNodeShape(target, netsim.LinkShape{}); err != nil {
-					runErr = err
-					return
-				}
-			}
-		case ChaosPartition:
-			// Asymmetric grey failure: every client loses its link TO one
-			// loaded OSD (requests die pre-handler, so no side effects);
-			// ops touching it retry until the heal.
-			target := mostLoaded(0)
-			for _, cid := range clientIDs {
-				if err := c.Fabric.Partition(cid, target, true); err != nil {
-					runErr = err
-					return
-				}
-			}
-			p.Sleep(4 * time.Millisecond)
-			for _, cid := range clientIDs {
-				if err := c.Fabric.Partition(cid, target, false); err != nil {
-					runErr = err
-					return
-				}
-			}
-			p.Sleep(time.Millisecond) // let retried ops land inside the window
-		case ChaosFlap:
-			// One loaded OSD flaps down/up mid-update. Drops inside the
-			// flap windows can tear stripes (data applied, parity delta
-			// lost, retried delta XORs to zero) — ScrubRepair re-encodes
-			// them after the drain, before the verification scrub.
-			target := mostLoaded(0)
-			if err := c.Fabric.ScheduleFlap(target, p.Now()+200*time.Microsecond, 500*time.Microsecond, 1500*time.Microsecond, 3); err != nil {
-				runErr = err
-				return
-			}
-			p.Sleep(6 * time.Millisecond) // outlasts the last flap window
-		case ChaosCorrupt:
-			c.Fabric.SetCorruptor(flipCorruptor(chaosCorruptRate))
-			p.Sleep(6 * time.Millisecond)
-			c.Fabric.SetCorruptor(nil)
-		default:
-			runErr = fmt.Errorf("unknown chaos scenario %q", scenario)
-			return
-		}
-
-		t1 := p.Now()
-		duringOps := done - preOps
-		stop = true
-		wg.Wait(p)
-		if clientErr != nil {
-			runErr = clientErr
-			return
-		}
-		if chaosKills(scenario) {
-			rep, err := c.Recover(p, victim, 8, cluster.RecoverInterleaved, admin)
-			if err != nil {
-				runErr = fmt.Errorf("recover (%s): %w", scenario, err)
-				return
-			}
-			res.Report = rep
-		}
-
-		for _, sm := range samples {
-			if sm.start >= t0 && sm.start <= t1 {
-				res.ReadLats = append(res.ReadLats, sm.lat)
-			}
-		}
-		for _, es := range errStarts {
-			if es >= t0 && es <= t1 {
-				res.ReadErrs++
-			}
-		}
-		if d := (t0 - start).Seconds(); d > 0 {
-			res.BaselineIOPS = float64(preOps) / d
-		}
-		if d := (t1 - t0).Seconds(); d > 0 {
-			res.DuringIOPS = float64(duringOps) / d
-		}
-		if res.BaselineIOPS > 0 {
-			res.DipPct = 100 * (1 - res.DuringIOPS/res.BaselineIOPS)
-		}
-		res.HedgeFired, res.HedgeWins = c.HedgeStats()
-		res.CorruptInjected = c.Fabric.CorruptionsInjected()
-		res.CorruptDetected = c.CorruptionsDetected()
-		if res.CorruptDetected != res.CorruptInjected {
-			runErr = fmt.Errorf("%s: %d corruptions injected but %d detected — silent escape",
-				scenario, res.CorruptInjected, res.CorruptDetected)
-			return
-		}
-
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		if scenario == ChaosFlap {
-			blocks, _, err := c.ScrubRepair(p)
-			if err != nil {
-				runErr = fmt.Errorf("scrub-repair after flap: %w", err)
-				return
-			}
-			res.RepairedBlocks = blocks
-		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-chaos scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
-	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
-	}
 	return res, nil
+}
+
+// chaosFault runs one scenario's fault inside the window and returns the
+// node it killed (0 for the live-fault scenarios). The kill victim is the
+// most-loaded OSD, so the rebuild volume is representative; the fault
+// target of the straggler and live-fault scenarios is the most-loaded
+// survivor, so the fault actually intersects the workload.
+func chaosFault(p *sim.Proc, r *scenarioRun, scen string) (wire.NodeID, error) {
+	c := r.c
+	switch scen {
+	case ChaosBaseline, ChaosStraggler:
+		// Degraded window of fixed virtual length: the victim is down and
+		// the degraded route serves (reads of lost blocks reconstruct on
+		// the fly, updates journal at the surrogate), with one
+		// lognormal-slow survivor in the straggler variant. Recovery runs
+		// AFTER the window closes, so the measured tail is the straggler's
+		// (and the hedge's), not each engine's rebuild-duration artifact.
+		victim := mostLoaded(c, 0)
+		target := mostLoaded(c, victim)
+		if err := c.Fabric.SetDown(victim, true); err != nil {
+			return 0, err
+		}
+		if err := c.BeginDegraded(p, victim, r.admin); err != nil {
+			return 0, fmt.Errorf("begin degraded (%s): %w", scen, err)
+		}
+		if scen == ChaosStraggler {
+			if err := c.Fabric.SetNodeShape(target, netsim.LinkShape{Latency: chaosStragglerDist()}); err != nil {
+				return 0, err
+			}
+		}
+		p.Sleep(10 * time.Millisecond)
+		if scen == ChaosStraggler {
+			if err := c.Fabric.SetNodeShape(target, netsim.LinkShape{}); err != nil {
+				return 0, err
+			}
+		}
+		return victim, nil
+	case ChaosPartition:
+		// Asymmetric grey failure: every client loses its link TO one
+		// loaded OSD (requests die pre-handler, so no side effects); ops
+		// touching it retry until the heal.
+		target := mostLoaded(c, 0)
+		for _, cid := range r.clients {
+			if err := c.Fabric.Partition(cid, target, true); err != nil {
+				return 0, err
+			}
+		}
+		p.Sleep(4 * time.Millisecond)
+		for _, cid := range r.clients {
+			if err := c.Fabric.Partition(cid, target, false); err != nil {
+				return 0, err
+			}
+		}
+		p.Sleep(time.Millisecond) // let retried ops land inside the window
+	case ChaosFlap:
+		// One loaded OSD flaps down/up mid-update. Drops inside the flap
+		// windows can tear stripes (data applied, parity delta lost,
+		// retried delta XORs to zero) — ScrubRepair re-encodes them after
+		// the drain, before the verification scrub.
+		target := mostLoaded(c, 0)
+		if err := c.Fabric.ScheduleFlap(target, p.Now()+200*time.Microsecond, 500*time.Microsecond, 1500*time.Microsecond, 3); err != nil {
+			return 0, err
+		}
+		p.Sleep(6 * time.Millisecond) // outlasts the last flap window
+	case ChaosCorrupt:
+		c.Fabric.SetCorruptor(flipCorruptor(chaosCorruptRate))
+		p.Sleep(6 * time.Millisecond)
+		c.Fabric.SetCorruptor(nil)
+	default:
+		return 0, fmt.Errorf("unknown chaos scenario %q", scen)
+	}
+	return 0, nil
 }
 
 // Chaos runs the chaos experiment: every engine × every fault scenario
@@ -484,8 +294,7 @@ func Chaos(w io.Writer, s Scale) error {
 			if r.Report != nil {
 				recoverMS = ms(r.Report.TotalTime)
 			}
-			dist := NewLatencyDist(r.ReadLats) // one sort for all quantiles below
-			p99 := ms(dist.P(0.99))
+			p99 := ms(r.ReadP(0.99))
 			ratio := ""
 			labels := map[string]string{"engine": eng, "scenario": scen}
 			if scen == ChaosBaseline {
@@ -503,16 +312,16 @@ func Chaos(w io.Writer, s Scale) error {
 					fmt.Fprintf(w, "chaos %s: baseline window saw 0 reads; skipping straggler_p99_ratio\n", eng)
 				}
 			}
-			s.Sink.Record("chaos", "read_samples", labels, float64(dist.N()))
+			s.Sink.Record("chaos", "read_samples", labels, float64(len(r.ReadLats)))
 			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.0f\t%.0f\t%.0f%%\t%.2f\t%.2f\t%.2f\t%d\t%d/%d\t%d/%d\t%d\t%s\n",
 				eng, scen, recoverMS,
 				r.BaselineIOPS, r.DuringIOPS, r.DipPct,
-				ms(dist.P(0.50)), ms(dist.P(0.95)), p99, r.ReadErrs,
+				ms(r.ReadP(0.50)), ms(r.ReadP(0.95)), p99, r.ReadErrs,
 				r.HedgeFired, r.HedgeWins,
 				r.CorruptInjected, r.CorruptDetected,
 				r.RepairedBlocks, ratio)
-			s.Sink.Record("chaos", "read_p50_ms", labels, ms(dist.P(0.50)))
-			s.Sink.Record("chaos", "read_p95_ms", labels, ms(dist.P(0.95)))
+			s.Sink.Record("chaos", "read_p50_ms", labels, ms(r.ReadP(0.50)))
+			s.Sink.Record("chaos", "read_p95_ms", labels, ms(r.ReadP(0.95)))
 			s.Sink.Record("chaos", "read_p99_ms", labels, p99)
 			s.Sink.Record("chaos", "read_errs", labels, float64(r.ReadErrs))
 			s.Sink.Record("chaos", "dip_pct", labels, r.DipPct)

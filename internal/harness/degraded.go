@@ -11,18 +11,17 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
 	"time"
 
 	"tsue/internal/cluster"
 	"tsue/internal/sim"
-	"tsue/internal/trace"
 	"tsue/internal/update"
 	"tsue/internal/wire"
 )
 
-// DegradedResult captures one degraded-mode recovery run.
+// DegradedResult captures one degraded-mode recovery run. Its Window is
+// the recovery: it opens at the failure and closes when recovery completes.
 type DegradedResult struct {
 	Cfg RunConfig
 	// Mode is the recovery protocol used.
@@ -30,241 +29,42 @@ type DegradedResult struct {
 	// Report is the cluster's recovery report (rebuild/settle/replay times,
 	// replayed bytes, reconstruction bandwidth).
 	Report *cluster.RecoveryReport
-	// BaselineIOPS is foreground update throughput before the failure;
-	// DuringIOPS is throughput between failure injection and recovery
-	// completion; DipPct is the relative drop.
-	BaselineIOPS float64
-	DuringIOPS   float64
-	DipPct       float64
 	// JournalBytes is surrogate-journal bytes appended per OSD during the
 	// degraded window (the placement experiment's surrogate-load spread).
 	JournalBytes map[wire.NodeID]int64
-	// Quorum* aggregate journal quorum replication traffic during the
-	// window: Sent counts acked JournalReplica messages/bytes the
-	// surrogates pushed to their holder sets, Held what the holders retain.
-	QuorumSentMsgs, QuorumSentBytes int64
-	QuorumHeldMsgs, QuorumHeldBytes int64
-	// ReadLats are the latencies of foreground reads issued inside the
-	// recovery window — the degraded-read latency distribution the ROADMAP
-	// trace-latency item asks for, not just the aggregate IOPS dip. Reads
-	// of degraded stripes route through the surrogate (on-the-fly
-	// reconstruction + journal overlay) or block at recovery gates, so the
-	// tail directly exposes each protocol's read-path cost.
-	ReadLats []time.Duration
-	// ReadErrs counts window reads that failed outright after exhausting
-	// their retry budget (drain-first recovery serves no degraded reads —
-	// the dead node's blocks are simply unreadable until rebuilt).
-	ReadErrs int
-	// Stripes is the number of stripes scrubbed clean after the run.
-	Stripes int
-
-	// readDist caches the sorted ReadLats; built on first ReadP call, after
-	// the run has finished appending samples.
-	readDist *LatencyDist
-}
-
-// ReadP returns the p-quantile of the window read latencies. The samples
-// are sorted once and cached, so printing a row at p50/p95/p99/p999 pays
-// for one sort total.
-func (r *DegradedResult) ReadP(p float64) time.Duration {
-	if r.readDist == nil {
-		d := NewLatencyDist(r.ReadLats)
-		r.readDist = &d
-	}
-	return r.readDist.P(p)
+	Window
+	QuorumTraffic
 }
 
 // RunDegraded preloads a volume, runs a continuous foreground update
-// workload, fails one OSD a third of the way through, and recovers it under
-// the given mode while the workload keeps issuing updates (which block at
-// the gate or route through the surrogate journal, depending on the mode).
-// The run ends with a drain and a full scrub.
+// workload with reader probes, fails the most-loaded OSD a third of the way
+// through, and recovers it under the given mode while the workload keeps
+// issuing updates (which block at the gate or route through the surrogate
+// journal, depending on the mode). The run ends with a drain and a full
+// scrub.
 func RunDegraded(cfg RunConfig, mode cluster.RecoverMode) (*DegradedResult, error) {
-	c, err := buildCluster(cfg)
+	res := &DegradedResult{Cfg: cfg, Mode: mode}
+	err := runScenario(cfg, scenario{
+		name:        "degraded",
+		payloadSeed: 999,
+		readersPer:  4,
+		minReaders:  2,
+		readerGap:   500 * time.Microsecond,
+		script: func(p *sim.Proc, r *scenarioRun) (err error) {
+			res.Report, err = r.c.Recover(p, mostLoaded(r.c, 0), 8, mode, r.admin)
+			if err != nil {
+				return fmt.Errorf("recover (%s): %w", mode, err)
+			}
+			return nil
+		},
+		after: func(p *sim.Proc, r *scenarioRun) error {
+			res.JournalBytes = r.c.JournalBytesPerOSD()
+			res.capture(r.c)
+			return nil
+		},
+	}, &res.Window)
 	if err != nil {
 		return nil, err
-	}
-	defer c.Env.Close()
-	admin := c.NewClient()
-	res := &DegradedResult{Cfg: cfg, Mode: mode}
-	var runErr error
-	c.Env.Go("degraded-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		c.ResetStats()
-
-		payload := make([]byte, 1<<20)
-		rand.New(rand.NewSource(cfg.Seed + 999)).Read(payload)
-
-		nClients := cfg.Clients
-		if nClients < 1 {
-			nClients = 1
-		}
-		// Generous per-client cap: the stop flag (set when recovery
-		// completes) is the intended exit, the cap only bounds runaway runs.
-		// It must stay high enough that clients keep offering load through
-		// the whole recovery — journaled degraded updates complete at
-		// log-append speed, far above the steady-state rate.
-		opsPer := 20 * cfg.Ops / nClients
-		stop := false
-		done := 0
-		start := p.Now()
-		wg := sim.NewWaitGroup(c.Env)
-		wg.Add(nClients)
-		var clientErr error
-		for ci := 0; ci < nClients; ci++ {
-			ci := ci
-			cl := c.NewClient()
-			ino := inos[ci%len(inos)]
-			prof := cfg.Trace
-			prof.WorkingSet = perFile
-			gen := trace.MustGenerator(prof, cfg.Seed+int64(ci)*7919)
-			c.Env.Go(fmt.Sprintf("fg%d", ci), func(cp *sim.Proc) {
-				defer wg.Done()
-				for j := 0; j < opsPer && !stop; j++ {
-					// Update-only foreground: resample until a write so the
-					// dip measures the update path (reads of lost blocks are
-					// exercised by the degraded tests).
-					op := gen.Next()
-					for op.Kind != trace.Write {
-						op = gen.Next()
-					}
-					off := op.Off
-					if off+int64(op.Size) > perFile {
-						off = perFile - int64(op.Size)
-					}
-					pstart := int(off) % (len(payload) - int(op.Size))
-					if err := cl.Update(cp, ino, off, payload[pstart:pstart+int(op.Size)]); err != nil {
-						if clientErr == nil {
-							clientErr = fmt.Errorf("foreground client %d op %d: %w", ci, j, err)
-						}
-						return
-					}
-					done++
-				}
-			})
-		}
-
-		// Reader probes: a small pool of clients issuing trace-shaped reads
-		// at a gentle pace, so the degraded window yields a read-latency
-		// distribution without the probes themselves becoming the load.
-		type readSample struct{ start, lat time.Duration }
-		var samples []readSample
-		var errStarts []time.Duration
-		nReaders := nClients / 4
-		if nReaders < 2 {
-			nReaders = 2
-		}
-		for ri := 0; ri < nReaders; ri++ {
-			ri := ri
-			rcl := c.NewClient()
-			ino := inos[ri%len(inos)]
-			prof := cfg.Trace
-			prof.WorkingSet = perFile
-			rgen := trace.MustGenerator(prof, cfg.Seed+int64(1000+ri)*104651)
-			wg.Add(1)
-			c.Env.Go(fmt.Sprintf("rd%d", ri), func(cp *sim.Proc) {
-				defer wg.Done()
-				for j := 0; j < opsPer && !stop; j++ {
-					op := rgen.Next()
-					off := op.Off
-					if off+int64(op.Size) > perFile {
-						off = perFile - int64(op.Size)
-					}
-					issued := cp.Now()
-					if _, err := rcl.Read(cp, ino, off, int64(op.Size)); err != nil {
-						// Window reads CAN fail legitimately: drain-first
-						// recovery never serves the dead node's blocks.
-						errStarts = append(errStarts, issued)
-					} else {
-						samples = append(samples, readSample{start: issued, lat: cp.Now() - issued})
-					}
-					cp.Sleep(500 * time.Microsecond)
-				}
-			})
-		}
-
-		// Warm up to steady state, then fail a node and recover while the
-		// foreground keeps running.
-		warmTarget := cfg.Ops / 3
-		if warmTarget < 1 {
-			warmTarget = 1
-		}
-		for done < warmTarget && clientErr == nil {
-			p.Sleep(100 * time.Microsecond)
-		}
-		if clientErr != nil {
-			runErr = clientErr
-			return
-		}
-		preOps := done
-		t0 := p.Now()
-		// Fail the most-loaded OSD so the rebuild volume is representative
-		// (small working sets can leave hash-unlucky OSDs empty).
-		victim := wire.NodeID(1)
-		most := -1
-		for _, osd := range c.OSDs {
-			if n := osd.Store().Len(); n > most {
-				most = n
-				victim = osd.NodeID()
-			}
-		}
-		rep, err := c.Recover(p, victim, 8, mode, admin)
-		if err != nil {
-			runErr = fmt.Errorf("recover (%s): %w", mode, err)
-			return
-		}
-		t1 := p.Now()
-		duringOps := done - preOps
-		stop = true
-		wg.Wait(p)
-		if clientErr != nil {
-			runErr = clientErr
-			return
-		}
-
-		res.Report = rep
-		res.JournalBytes = c.JournalBytesPerOSD()
-		res.QuorumSentMsgs, res.QuorumSentBytes, res.QuorumHeldMsgs, res.QuorumHeldBytes = c.JournalQuorumStats()
-		for _, sm := range samples {
-			if sm.start >= t0 && sm.start <= t1 {
-				res.ReadLats = append(res.ReadLats, sm.lat)
-			}
-		}
-		for _, es := range errStarts {
-			if es >= t0 && es <= t1 {
-				res.ReadErrs++
-			}
-		}
-		if d := (t0 - start).Seconds(); d > 0 {
-			res.BaselineIOPS = float64(preOps) / d
-		}
-		if d := (t1 - t0).Seconds(); d > 0 {
-			res.DuringIOPS = float64(duringOps) / d
-		}
-		if res.BaselineIOPS > 0 {
-			res.DipPct = 100 * (1 - res.DuringIOPS/res.BaselineIOPS)
-		}
-
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-recovery scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
-	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
 	}
 	return res, nil
 }

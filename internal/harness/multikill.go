@@ -22,7 +22,8 @@ import (
 	"tsue/internal/wire"
 )
 
-// MultiKillResult captures one degraded multi-death run.
+// MultiKillResult captures one degraded multi-death run. It runs no
+// writer fleet, so only Window.Stripes is set.
 type MultiKillResult struct {
 	Cfg RunConfig
 	// Deaths is the number of nodes killed (1 = failed node only,
@@ -36,23 +37,18 @@ type MultiKillResult struct {
 	// Kill is the surrogate-death report: journal promotions, read-repaired
 	// items, missed heartbeats of the victim.
 	Kill *cluster.KillReport
-	// Quorum* aggregate the journal replication traffic: Sent counts acked
-	// JournalReplica messages/bytes surrogates pushed to their holder sets,
-	// Held counts replica records/bytes the holders retain.
-	QuorumSentMsgs, QuorumSentBytes int64
-	QuorumHeldMsgs, QuorumHeldBytes int64
 	// RecoverTotal sums recovery time across every dead node;
 	// ReplayedItems counts journal records replayed at the cutovers.
 	RecoverTotal  time.Duration
 	ReplayedItems int
-	// Stripes is the number of stripes scrubbed clean after the run.
-	Stripes int
+	Window
+	QuorumTraffic
 }
 
-// RunDegradedMultiKill preloads a volume, opens a degraded window for the
-// most-loaded OSD, and drives acked degraded updates to its lost ranges
-// while killing up to deaths-1 further nodes at fixed points: the first
-// quorum holder of the busiest surrogate (deaths >= 3), then that
+// RunDegradedMultiKill preloads and drains a volume, opens a degraded
+// window for the most-loaded OSD, and drives acked degraded updates to its
+// lost ranges while killing up to deaths-1 further nodes at fixed points:
+// the first quorum holder of the busiest surrogate (deaths >= 3), then that
 // surrogate itself (deaths >= 2). All dead nodes are then recovered —
 // journal-less casualties first, the window owner's replay last — and the
 // run ends with a drain and a full scrub.
@@ -60,170 +56,122 @@ func RunDegradedMultiKill(cfg RunConfig, deaths int) (*MultiKillResult, error) {
 	if deaths < 1 || deaths > cfg.M {
 		return nil, fmt.Errorf("harness: %d deaths exceed the RS(%d,%d) parity budget", deaths, cfg.K, cfg.M)
 	}
-	c, err := buildCluster(cfg)
+	res := &MultiKillResult{Cfg: cfg, Deaths: deaths}
+	err := runScenario(cfg, scenario{
+		name:       "multikill",
+		scriptOnly: true,
+		drainFirst: true,
+		script:     func(p *sim.Proc, r *scenarioRun) error { return res.chainKills(p, r, cfg) },
+	}, &res.Window)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Env.Close()
-	admin := c.NewClient()
-	cl := c.NewClient()
-	res := &MultiKillResult{Cfg: cfg, Deaths: deaths}
-	var runErr error
-	c.Env.Go("multikill-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		c.ResetStats()
-
-		// Fail the most-loaded OSD and open its degraded window.
-		failed := wire.NodeID(1)
-		most := -1
-		for _, osd := range c.OSDs {
-			if n := osd.Store().Len(); n > most {
-				most = n
-				failed = osd.NodeID()
-			}
-		}
-		if err := c.BeginDegraded(p, failed, admin); err != nil {
-			runErr = fmt.Errorf("begin degraded: %w", err)
-			return
-		}
-		res.Failed = failed
-
-		// The failed node's lost DATA ranges — the offsets whose updates
-		// route through the surrogate journals.
-		sw := c.StripeWidth()
-		ino := inos[0]
-		var lost []int64
-		for s := uint32(0); int64(s)*sw < perFile; s++ {
-			osds := c.Placement(wire.StripeID{Ino: ino, Stripe: s})
-			for idx := 0; idx < c.Cfg.K; idx++ {
-				if osds[idx] == failed {
-					lost = append(lost, int64(s)*sw+int64(idx)*cfg.BlockSize)
-				}
-			}
-		}
-		if len(lost) == 0 {
-			runErr = fmt.Errorf("most-loaded OSD %d holds no data blocks of vol0", failed)
-			return
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed + 4243))
-		span := int(cfg.BlockSize - 4096)
-		appends := func(n int) error {
-			buf := make([]byte, 4096)
-			for i := 0; i < n; i++ {
-				rng.Read(buf)
-				off := lost[rng.Intn(len(lost))] + int64(rng.Intn(span))
-				if err := cl.Update(p, ino, off, buf); err != nil {
-					return fmt.Errorf("degraded append %d: %w", i, err)
-				}
-				res.Appends++
-			}
-			return nil
-		}
-		phase := cfg.Ops / 12
-		if phase < 20 {
-			phase = 20
-		}
-		if err := appends(phase); err != nil {
-			runErr = err
-			return
-		}
-
-		if deaths >= 2 {
-			// Busiest surrogate by journal bytes appended.
-			var surr wire.NodeID
-			var bmost int64 = -1
-			jb := c.JournalBytesPerOSD()
-			for _, s := range c.SurrogatesOf(failed) {
-				if jb[s] > bmost {
-					bmost, surr = jb[s], s
-				}
-			}
-			if surr == 0 {
-				runErr = fmt.Errorf("no surrogate journaled anything after %d appends", res.Appends)
-				return
-			}
-			res.Surr = surr
-			if deaths >= 3 {
-				holders := c.JournalHoldersOf(failed, surr)
-				if len(holders) < 2 {
-					runErr = fmt.Errorf("surrogate %d has no holder quorum to kill from (%v)", surr, holders)
-					return
-				}
-				res.Holder = holders[0]
-				if _, err := c.Kill(p, res.Holder, admin); err != nil {
-					runErr = fmt.Errorf("kill holder %d: %w", res.Holder, err)
-					return
-				}
-				if err := appends(phase); err != nil {
-					runErr = err
-					return
-				}
-			}
-			krep, err := c.Kill(p, surr, admin)
-			if err != nil {
-				runErr = fmt.Errorf("kill surrogate %d: %w", surr, err)
-				return
-			}
-			res.Kill = krep
-			if err := appends(phase); err != nil {
-				runErr = err
-				return
-			}
-		}
-
-		res.QuorumSentMsgs, res.QuorumSentBytes, res.QuorumHeldMsgs, res.QuorumHeldBytes = c.JournalQuorumStats()
-
-		// Journal-less casualties rebuild first; the window owner's cutover
-		// replay runs last, onto fully-live stripes (the synchronous-parity
-		// engines replay full engine writes across each stripe).
-		recover := func(id wire.NodeID) error {
-			rep, err := c.Recover(p, id, 4, cluster.RecoverInterleaved, admin)
-			if err != nil {
-				return fmt.Errorf("recover %d: %w", id, err)
-			}
-			res.RecoverTotal += rep.TotalTime
-			res.ReplayedItems += rep.ReplayedItems
-			return nil
-		}
-		if res.Holder != 0 {
-			if runErr = recover(res.Holder); runErr != nil {
-				return
-			}
-		}
-		if res.Surr != 0 {
-			if runErr = recover(res.Surr); runErr != nil {
-				return
-			}
-		}
-		if runErr = recover(failed); runErr != nil {
-			return
-		}
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-multikill scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
-	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
-	}
 	return res, nil
+}
+
+// chainKills is the multi-death script: open the degraded window, append,
+// kill the holder and the surrogate between append phases, then recover
+// every dead node.
+func (res *MultiKillResult) chainKills(p *sim.Proc, r *scenarioRun, cfg RunConfig) error {
+	c, admin := r.c, r.admin
+	cl := c.NewClient()
+	failed := mostLoaded(c, 0)
+	if err := c.BeginDegraded(p, failed, admin); err != nil {
+		return fmt.Errorf("begin degraded: %w", err)
+	}
+	res.Failed = failed
+
+	// The failed node's lost DATA ranges — the offsets whose updates
+	// route through the surrogate journals.
+	sw := c.StripeWidth()
+	ino := r.inos[0]
+	var lost []int64
+	for s := uint32(0); int64(s)*sw < r.perFile; s++ {
+		osds := c.Placement(wire.StripeID{Ino: ino, Stripe: s})
+		for idx := 0; idx < c.Cfg.K; idx++ {
+			if osds[idx] == failed {
+				lost = append(lost, int64(s)*sw+int64(idx)*cfg.BlockSize)
+			}
+		}
+	}
+	if len(lost) == 0 {
+		return fmt.Errorf("most-loaded OSD %d holds no data blocks of vol0", failed)
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 4243))
+	span := int(cfg.BlockSize - 4096)
+	phase := cfg.Ops / 12
+	if phase < 20 {
+		phase = 20
+	}
+	appends := func() error {
+		buf := make([]byte, 4096)
+		for i := 0; i < phase; i++ {
+			rng.Read(buf)
+			off := lost[rng.Intn(len(lost))] + int64(rng.Intn(span))
+			if err := cl.Update(p, ino, off, buf); err != nil {
+				return fmt.Errorf("degraded append %d: %w", i, err)
+			}
+			res.Appends++
+		}
+		return nil
+	}
+	if err := appends(); err != nil {
+		return err
+	}
+
+	if res.Deaths >= 2 {
+		// Busiest surrogate by journal bytes appended.
+		var surr wire.NodeID
+		var bmost int64 = -1
+		jb := c.JournalBytesPerOSD()
+		for _, s := range c.SurrogatesOf(failed) {
+			if jb[s] > bmost {
+				bmost, surr = jb[s], s
+			}
+		}
+		if surr == 0 {
+			return fmt.Errorf("no surrogate journaled anything after %d appends", res.Appends)
+		}
+		res.Surr = surr
+		if res.Deaths >= 3 {
+			holders := c.JournalHoldersOf(failed, surr)
+			if len(holders) < 2 {
+				return fmt.Errorf("surrogate %d has no holder quorum to kill from (%v)", surr, holders)
+			}
+			res.Holder = holders[0]
+			if _, err := c.Kill(p, res.Holder, admin); err != nil {
+				return fmt.Errorf("kill holder %d: %w", res.Holder, err)
+			}
+			if err := appends(); err != nil {
+				return err
+			}
+		}
+		krep, err := c.Kill(p, surr, admin)
+		if err != nil {
+			return fmt.Errorf("kill surrogate %d: %w", surr, err)
+		}
+		res.Kill = krep
+		if err := appends(); err != nil {
+			return err
+		}
+	}
+	res.capture(c)
+
+	// Journal-less casualties rebuild first; the window owner's cutover
+	// replay runs last, onto fully-live stripes (the synchronous-parity
+	// engines replay full engine writes across each stripe).
+	for _, id := range []wire.NodeID{res.Holder, res.Surr, failed} {
+		if id == 0 {
+			continue
+		}
+		rep, err := c.Recover(p, id, 4, cluster.RecoverInterleaved, admin)
+		if err != nil {
+			return fmt.Errorf("recover %d: %w", id, err)
+		}
+		res.RecoverTotal += rep.TotalTime
+		res.ReplayedItems += rep.ReplayedItems
+	}
+	return nil
 }
 
 // DegradedMultiKill runs the multi-death scenario across all six engines

@@ -16,7 +16,6 @@ import (
 	"math"
 	"sort"
 	"text/tabwriter"
-	"time"
 
 	"tsue/internal/cluster"
 	"tsue/internal/wire"
@@ -153,8 +152,19 @@ func Placement(w io.Writer, s Scale) error {
 			pgs, r.Report.Blocks, r.FanOut(), src.cv, src.maxRatio,
 			len(r.Targets), len(r.JournalBytes),
 			float64(jTotal)/1024, jrn.cv,
-			float64(r.Report.TotalTime)/float64(time.Millisecond),
+			ms(r.Report.TotalTime),
 			r.DipPct)
+		labels := map[string]string{"pgs": fmt.Sprintf("%d", pgs)}
+		s.Sink.Record("placement", "lost_blocks", labels, float64(r.Report.Blocks))
+		s.Sink.Record("placement", "fanout", labels, float64(r.FanOut()))
+		s.Sink.Record("placement", "src_cv", labels, src.cv)
+		s.Sink.Record("placement", "src_max_over_mean", labels, src.maxRatio)
+		s.Sink.Record("placement", "targets", labels, float64(len(r.Targets)))
+		s.Sink.Record("placement", "surrogates", labels, float64(len(r.JournalBytes)))
+		s.Sink.Record("placement", "journal_kb", labels, float64(jTotal)/1024)
+		s.Sink.Record("placement", "journal_cv", labels, jrn.cv)
+		s.Sink.Record("placement", "recover_ms", labels, ms(r.Report.TotalTime))
+		s.Sink.Record("placement", "dip_pct", labels, r.DipPct)
 		fmt.Fprintf(tw, "\tsrc KB/OSD (desc)\t%s\n", histogram(r.SourceBytes))
 	}
 	return tw.Flush()

@@ -16,19 +16,18 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"text/tabwriter"
 	"time"
 
 	"tsue/internal/cluster"
 	"tsue/internal/rebalance"
 	"tsue/internal/sim"
-	"tsue/internal/trace"
 	"tsue/internal/update"
 	"tsue/internal/wire"
 )
 
-// RebalanceResult captures one online-expansion run.
+// RebalanceResult captures one online-expansion run. Its Window is the
+// expansion.
 type RebalanceResult struct {
 	Cfg RunConfig
 	// Reports holds one migration report per added OSD (sequential
@@ -36,13 +35,7 @@ type RebalanceResult struct {
 	Reports []*rebalance.Report
 	// NewOSDs lists the added node IDs.
 	NewOSDs []wire.NodeID
-	// BaselineIOPS is foreground update throughput before the expansion;
-	// DuringIOPS covers the expansion window; DipPct is the relative drop.
-	BaselineIOPS float64
-	DuringIOPS   float64
-	DipPct       float64
-	// Stripes is the number of stripes scrubbed clean after the run.
-	Stripes int
+	Window
 }
 
 // MovedBlocks sums blocks moved across all transitions.
@@ -63,59 +56,6 @@ func (r *RebalanceResult) BoundBlocks() float64 {
 	return b
 }
 
-// fgLoad is the control surface of a running foreground writer fleet
-// (startForegroundWriters): set *stop to end the loops, *done counts
-// completed ops, *err holds the first client failure, wg waits the
-// writers out.
-type fgLoad struct {
-	stop *bool
-	done *int
-	err  *error
-	wg   *sim.WaitGroup
-}
-
-// startForegroundWriters launches cfg.Clients trace-driven update writers
-// over the preloaded files (one payload pool seeded at cfg.Seed +
-// payloadSeed), writing up to 20×cfg.Ops/Clients ops each unless stopped.
-// Shared by the rebalance-family experiments.
-func startForegroundWriters(c *cluster.Cluster, cfg RunConfig, inos []uint64, perFile, payloadSeed int64) fgLoad {
-	payload := make([]byte, 1<<20)
-	rand.New(rand.NewSource(cfg.Seed + payloadSeed)).Read(payload)
-	load := fgLoad{stop: new(bool), done: new(int), err: new(error), wg: sim.NewWaitGroup(c.Env)}
-	load.wg.Add(cfg.Clients)
-	opsPer := 20 * cfg.Ops / cfg.Clients
-	for ci := 0; ci < cfg.Clients; ci++ {
-		ci := ci
-		cl := c.NewClient()
-		ino := inos[ci%len(inos)]
-		prof := cfg.Trace
-		prof.WorkingSet = perFile
-		gen := trace.MustGenerator(prof, cfg.Seed+int64(ci)*7919)
-		c.Env.Go(fmt.Sprintf("fg%d", ci), func(cp *sim.Proc) {
-			defer load.wg.Done()
-			for j := 0; j < opsPer && !*load.stop; j++ {
-				op := gen.Next()
-				for op.Kind != trace.Write {
-					op = gen.Next()
-				}
-				off := op.Off
-				if off+int64(op.Size) > perFile {
-					off = perFile - int64(op.Size)
-				}
-				pstart := int(off) % (len(payload) - int(op.Size))
-				if err := cl.Update(cp, ino, off, payload[pstart:pstart+int(op.Size)]); err != nil {
-					if *load.err == nil {
-						*load.err = fmt.Errorf("foreground client %d op %d: %w", ci, j, err)
-					}
-					return
-				}
-				*load.done++
-			}
-		})
-	}
-	return load
-}
-
 // RunRebalance preloads a multi-file working set, runs a continuous
 // foreground update workload, and a third of the way through adds addOSDs
 // OSDs one after another, each with a full online migration under rcfg.
@@ -124,89 +64,32 @@ func RunRebalance(cfg RunConfig, rcfg rebalance.Config, addOSDs int) (*Rebalance
 	if addOSDs < 1 {
 		return nil, fmt.Errorf("harness: addOSDs must be >= 1, got %d", addOSDs)
 	}
-	c, err := buildCluster(cfg)
+	res := &RebalanceResult{Cfg: cfg}
+	err := runScenario(cfg, scenario{
+		name:        "rebalance",
+		payloadSeed: 999,
+		script: func(p *sim.Proc, r *scenarioRun) error {
+			for i := 0; i < addOSDs; i++ {
+				rep, id, err := r.c.Expand(p, r.admin, rcfg)
+				if err != nil {
+					return fmt.Errorf("expand %d: %w", i, err)
+				}
+				res.Reports = append(res.Reports, rep)
+				res.NewOSDs = append(res.NewOSDs, id)
+			}
+			return nil
+		},
+	}, &res.Window)
 	if err != nil {
 		return nil, err
-	}
-	defer c.Env.Close()
-	admin := c.NewClient()
-	res := &RebalanceResult{Cfg: cfg}
-	var runErr error
-	c.Env.Go("rebalance-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		c.ResetStats()
-
-		start := p.Now()
-		load := startForegroundWriters(c, cfg, inos, perFile, 999)
-
-		warmTarget := cfg.Ops / 3
-		if warmTarget < 1 {
-			warmTarget = 1
-		}
-		for *load.done < warmTarget && *load.err == nil {
-			p.Sleep(100 * time.Microsecond)
-		}
-		if *load.err != nil {
-			runErr = *load.err
-			return
-		}
-		preOps := *load.done
-		t0 := p.Now()
-		for i := 0; i < addOSDs; i++ {
-			rep, id, err := c.Expand(p, admin, rcfg)
-			if err != nil {
-				runErr = fmt.Errorf("expand %d: %w", i, err)
-				return
-			}
-			res.Reports = append(res.Reports, rep)
-			res.NewOSDs = append(res.NewOSDs, id)
-		}
-		t1 := p.Now()
-		duringOps := *load.done - preOps
-		*load.stop = true
-		load.wg.Wait(p)
-		if *load.err != nil {
-			runErr = *load.err
-			return
-		}
-
-		if d := (t0 - start).Seconds(); d > 0 {
-			res.BaselineIOPS = float64(preOps) / d
-		}
-		if d := (t1 - t0).Seconds(); d > 0 {
-			res.DuringIOPS = float64(duringOps) / d
-		}
-		if res.BaselineIOPS > 0 {
-			res.DipPct = 100 * (1 - res.DuringIOPS/res.BaselineIOPS)
-		}
-
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-expansion scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
-	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
 	}
 	return res, nil
 }
 
 // RebalanceKillResult captures one kill-during-rebalance run: an OSD dies
 // mid-migration, the transition resolves per PG (abort/finish), recovery
-// runs under the settled epoch, and the run ends verified.
+// runs under the settled epoch, and the run ends verified. Its Window spans
+// the expansion and the recovery.
 type RebalanceKillResult struct {
 	Cfg    RunConfig
 	Report *rebalance.Report
@@ -215,13 +98,9 @@ type RebalanceKillResult struct {
 	Victim       wire.NodeID
 	SettledEpoch uint64
 	Recovery     *cluster.RecoveryReport
-	// Quorum* aggregate journal quorum replication traffic during the
-	// recovery's degraded window (sent = surrogate→holder appends acked,
-	// held = replica records the holders retain).
-	QuorumSentMsgs, QuorumSentBytes int64
-	QuorumHeldMsgs, QuorumHeldBytes int64
-	// Stripes is the number of stripes scrubbed clean after the run.
-	Stripes int
+	Window
+	// QuorumTraffic covers the recovery's degraded window.
+	QuorumTraffic
 }
 
 // RunRebalanceKill preloads a working set, expands online under a
@@ -230,85 +109,39 @@ type RebalanceKillResult struct {
 // point is deterministic), waits for the per-PG resolution, recovers the
 // node under the settled epoch, and verifies with a drain + scrub.
 func RunRebalanceKill(cfg RunConfig, rcfg rebalance.Config) (*RebalanceKillResult, error) {
-	c, err := buildCluster(cfg)
+	res := &RebalanceKillResult{Cfg: cfg}
+	err := runScenario(cfg, scenario{
+		name:        "rebalance-kill",
+		payloadSeed: 4242,
+		script: func(p *sim.Proc, r *scenarioRun) error {
+			c := r.c
+			// Arm the kill: the first PG to finish its first copy loses its
+			// move source.
+			c.SetTransHook(func(ev cluster.TransEvent) {
+				if res.Victim != 0 || ev.Stage != cluster.StageCopying || ev.Copied == 0 {
+					return
+				}
+				res.Victim = ev.Moves[0].From
+				c.MarkDead(res.Victim)
+			})
+			rep, _, err := c.Expand(p, r.admin, rcfg)
+			if err != nil {
+				return fmt.Errorf("expand: %w", err)
+			}
+			if res.Victim == 0 {
+				return fmt.Errorf("kill hook never fired (no moves?)")
+			}
+			res.Report = rep
+			res.SettledEpoch = c.MDS.CommittedEpoch()
+			if res.Recovery, err = c.Recover(p, res.Victim, 4, cluster.RecoverInterleaved, r.admin); err != nil {
+				return fmt.Errorf("recover after mid-rebalance kill: %w", err)
+			}
+			res.capture(c)
+			return nil
+		},
+	}, &res.Window)
 	if err != nil {
 		return nil, err
-	}
-	defer c.Env.Close()
-	admin := c.NewClient()
-	res := &RebalanceKillResult{Cfg: cfg}
-	var runErr error
-	c.Env.Go("rebalance-kill-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		c.ResetStats()
-
-		load := startForegroundWriters(c, cfg, inos, perFile, 4242)
-		warmTarget := cfg.Ops / 3
-		if warmTarget < 1 {
-			warmTarget = 1
-		}
-		for *load.done < warmTarget && *load.err == nil {
-			p.Sleep(100 * time.Microsecond)
-		}
-		if *load.err != nil {
-			runErr = *load.err
-			return
-		}
-		// Arm the kill: the first PG to finish its first copy loses its
-		// move source.
-		var victim wire.NodeID
-		c.SetTransHook(func(ev cluster.TransEvent) {
-			if victim != 0 || ev.Stage != cluster.StageCopying || ev.Copied == 0 {
-				return
-			}
-			victim = ev.Moves[0].From
-			c.MarkDead(victim)
-		})
-		rep, _, err := c.Expand(p, admin, rcfg)
-		if err != nil {
-			runErr = fmt.Errorf("expand: %w", err)
-			return
-		}
-		if victim == 0 {
-			runErr = fmt.Errorf("kill hook never fired (no moves?)")
-			return
-		}
-		res.Report = rep
-		res.Victim = victim
-		res.SettledEpoch = c.MDS.CommittedEpoch()
-		rrep, err := c.Recover(p, victim, 4, cluster.RecoverInterleaved, admin)
-		if err != nil {
-			runErr = fmt.Errorf("recover after mid-rebalance kill: %w", err)
-			return
-		}
-		res.Recovery = rrep
-		res.QuorumSentMsgs, res.QuorumSentBytes, res.QuorumHeldMsgs, res.QuorumHeldBytes = c.JournalQuorumStats()
-		*load.stop = true
-		load.wg.Wait(p)
-		if *load.err != nil {
-			runErr = *load.err
-			return
-		}
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-kill-rebalance scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
-	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
 	}
 	return res, nil
 }

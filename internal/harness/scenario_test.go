@@ -141,3 +141,30 @@ var chaosGolden = map[string]string{
 	ChaosFlap:      "base=22307.692307692305 during=5000 dip=77.58620689655173 stripes=2 reads=144 p50=61.045µs p99=323.116µs rderr=0 rec=nil hedge=0/0 corrupt=0/0 repaired=1",
 	ChaosCorrupt:   "base=22307.692307692305 during=5000 dip=77.58620689655173 stripes=2 reads=133 p50=61.045µs p99=1.134682ms rderr=0 rec=nil hedge=0/0 corrupt=5/5 repaired=0",
 }
+
+// TestScenarioWarmupWritersExited pins the warm-up exit: with 20*Ops <
+// Clients every writer's op budget is zero and the Ops/3 warm-up target is
+// unreachable, so the runner must open the window once every writer has
+// exited. Before the fix this configuration slept forever (the test then
+// hangs until the go test timeout).
+func TestScenarioWarmupWritersExited(t *testing.T) {
+	s := goldenScale()
+	cfg := baseRun(s)
+	cfg.Ops = 1
+	cfg.Clients = 32
+	cfg.Trace = s.traceProfile("ali")
+	r, err := RunDegraded(cfg, cluster.RecoverInterleaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.BaselineIOPS != 0 || r.Stripes == 0 {
+		t.Fatalf("base IOPS %v with no writer ops, %d stripes scrubbed", r.BaselineIOPS, r.Stripes)
+	}
+	rb, err := RunRebalance(cfg, rebalance.Config{RateBps: s.RebalanceRateBps, MaxInFlightPGs: 2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.MovedBlocks() == 0 {
+		t.Fatal("expansion moved nothing")
+	}
+}
