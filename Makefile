@@ -22,6 +22,7 @@ lint:
 
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalRoundTrip -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzChecksumSplice -fuzztime=10s ./internal/wire
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -30,10 +30,23 @@ type entry struct {
 	// it to detect blocks dirtied between the bulk copy and the cutover
 	// fence, so only those pay a catch-up re-copy.
 	ver uint64
-	// sum is the CRC-32C of data, maintained on every write and verified on
-	// ReadRange so at-rest rot (CorruptStored) surfaces as wire.ErrChecksum
-	// instead of silently corrupt bytes.
+	// sum is the CRC-32C of the whole of data, maintained on every write and
+	// verified on ReadRange so at-rest rot (CorruptStored) surfaces as
+	// wire.ErrChecksum instead of silently corrupt bytes. Put and Rewrite
+	// seal it over the whole block; WriteRange splices it in O(write size)
+	// (wire.ChecksumSplice), so it stays bit-for-bit the whole-block CRC.
 	sum uint32
+	// rotted is set by CorruptStored: sum no longer covers data, so a splice
+	// would carry the mismatch forward. The next WriteRange rehashes the
+	// whole block instead (sealing the rot in), and every full seal clears
+	// it.
+	rotted bool
+}
+
+// seal sets sum to the CRC-32C of the whole block.
+func (e *entry) seal() {
+	e.sum = wire.Checksum(e.data)
+	e.rotted = false
 }
 
 // New creates a store on dev with fixed blockSize.
@@ -80,7 +93,7 @@ func (s *Store) Put(p *sim.Proc, blk wire.BlockID, data []byte) error {
 	}
 	copy(e.data, data)
 	e.ver++
-	e.sum = wire.Checksum(e.data)
+	e.seal()
 	s.dev.Write(p, s.zone, s.offset(e, 0), s.blockSize, exists)
 	return nil
 }
@@ -113,18 +126,27 @@ func (s *Store) ReadRange(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byt
 }
 
 // WriteRange overwrites [off, off+len(data)) of blk in place, charging a
-// random overwrite at the block's location.
+// random overwrite at the block's location. The whole-block checksum is
+// resealed in O(len(data)) by splicing the range's old and new CRCs into
+// it; only a block rotted by CorruptStored since its last full seal is
+// rehashed whole (which seals the rot in).
 func (s *Store) WriteRange(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
 	e, ok := s.blocks[blk]
 	if !ok {
 		return fmt.Errorf("blockstore: WriteRange: no such block %v", blk)
 	}
-	if off < 0 || off+int64(len(data)) > s.blockSize {
-		return fmt.Errorf("blockstore: WriteRange %v [%d,%d) out of range", blk, off, off+int64(len(data)))
+	end := off + int64(len(data))
+	if off < 0 || end > s.blockSize {
+		return fmt.Errorf("blockstore: WriteRange %v [%d,%d) out of range", blk, off, end)
 	}
-	copy(e.data[off:], data)
+	if e.rotted {
+		copy(e.data[off:], data)
+		e.seal()
+	} else {
+		e.sum = wire.ChecksumSplice(e.sum, e.data[off:end], data, s.blockSize-end)
+		copy(e.data[off:], data)
+	}
 	e.ver++
-	e.sum = wire.Checksum(e.data)
 	s.dev.Write(p, s.zone, s.offset(e, off), int64(len(data)), true)
 	return nil
 }
@@ -142,7 +164,9 @@ func (s *Store) Peek(blk wire.BlockID) ([]byte, bool) {
 // CorruptStored flips one stored byte of blk at off WITHOUT updating the
 // entry checksum — at-rest bit rot for fault-injection tests. The next
 // ReadRange of the block fails with wire.ErrChecksum; VerifyStored reports
-// it immediately.
+// it immediately. The whole-block checksum stays the detector: a later
+// WriteRange to the block rehashes it whole rather than splicing, so the
+// rot is sealed in exactly as a full reseal would.
 func (s *Store) CorruptStored(blk wire.BlockID, off int64) error {
 	e, ok := s.blocks[blk]
 	if !ok {
@@ -152,6 +176,7 @@ func (s *Store) CorruptStored(blk wire.BlockID, off int64) error {
 		return fmt.Errorf("blockstore: CorruptStored %v off %d out of range", blk, off)
 	}
 	e.data[off] ^= 0xff
+	e.rotted = true
 	return nil
 }
 
@@ -178,7 +203,7 @@ func (s *Store) Rewrite(p *sim.Proc, blk wire.BlockID, data []byte) error {
 	}
 	copy(e.data, data)
 	e.ver++
-	e.sum = wire.Checksum(e.data)
+	e.seal()
 	s.dev.Write(p, s.zone, s.offset(e, 0), s.blockSize, true)
 	return nil
 }

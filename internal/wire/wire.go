@@ -25,6 +25,58 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // a zero Sum.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, crcTable) }
 
+// ChecksumSplice returns the Checksum of a buffer after one range of it is
+// overwritten, given sum, the Checksum of the buffer before. was and now
+// are the range's bytes before and after (equal lengths) and tail is the
+// number of buffer bytes after the range. It costs two range-sized CRCs and
+// at most one GF(2) multiply per bit of tail, never a pass over the buffer.
+//
+// CRC-32C is affine: for equal-length inputs the init and final-xor terms
+// cancel, so Checksum(was) ^ Checksum(now) is the raw CRC of was ⊕ now.
+// Zero bytes ahead of that difference leave it unchanged, and each byte
+// after it multiplies it by x^8 mod P (zlib's crc32_combine shift).
+func ChecksumSplice(sum uint32, was, now []byte, tail int64) uint32 {
+	if len(was) != len(now) || tail < 0 {
+		panic("wire: ChecksumSplice range lengths differ or tail is negative")
+	}
+	d := Checksum(was) ^ Checksum(now)
+	if d == 0 {
+		return sum
+	}
+	for k := 0; tail != 0; k, tail = k+1, tail>>1 {
+		if tail&1 != 0 {
+			d = crcMul(crcX8n[k], d)
+		}
+	}
+	return sum ^ d
+}
+
+// crcMul returns a·b mod P for the CRC-32C polynomial P, in the reflected
+// bit order crc32 uses (bit 31 holds the x^0 coefficient).
+func crcMul(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc32.Castagnoli
+		} else {
+			b >>= 1
+		}
+	}
+	return p
+}
+
+// crcX8n[k] is x^(8·2^k) mod P: the shift past 2^k trailing bytes.
+var crcX8n = func() (t [63]uint32) {
+	t[0] = 1 << (31 - 8) // x^8
+	for k := 1; k < len(t); k++ {
+		t[k] = crcMul(t[k-1], t[k-1])
+	}
+	return t
+}()
+
 // VerifySum checks data against a carried Sum.
 func VerifySum(data []byte, sum uint32) error {
 	if Checksum(data) != sum {
