@@ -57,8 +57,8 @@ func BenchmarkFig8a(b *testing.B) { runExp(b, harness.Fig8a) }
 // BenchmarkFig8b regenerates Fig. 8b: HDD recovery bandwidth per MSR volume.
 func BenchmarkFig8b(b *testing.B) { runExp(b, harness.Fig8b) }
 
-// BenchmarkSweep regenerates the batched-recycle sweep (recycler batch size
-// x codec workers).
+// BenchmarkSweep regenerates the batched-recycle sweep over recycler batch
+// sizes.
 func BenchmarkSweep(b *testing.B) { runExp(b, harness.Sweep) }
 
 // Kernel micro-benchmarks: the word-wise gf256 slice kernels against their
@@ -129,35 +129,53 @@ func BenchmarkXorSlice(b *testing.B) {
 	})
 }
 
-// BenchmarkEncode measures full-stripe RS(6,4) encoding of 1 MiB shards
-// through the striped codec, at 1 worker and at the default worker bound.
+// Codec benchmarks: RS(6,4) over perfbench's 1 MiB shards.
+
+const codecShard = 1 << 20
+
+func codecShards(n int) [][]byte {
+	rng := rand.New(rand.NewSource(43))
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = make([]byte, codecShard)
+		rng.Read(out[i])
+	}
+	return out
+}
+
+// BenchmarkEncode measures full-stripe RS(6,4) encoding of 1 MiB shards.
 func BenchmarkEncode(b *testing.B) {
 	code := rs.MustNew(6, 4, rs.Vandermonde)
-	const shard = 1 << 20
-	rng := rand.New(rand.NewSource(43))
-	data := make([][]byte, 6)
-	for i := range data {
-		data[i] = make([]byte, shard)
-		rng.Read(data[i])
-	}
-	parity := make([][]byte, 4)
-	for i := range parity {
-		parity[i] = make([]byte, shard)
-	}
-	for _, workers := range []int{1, 0} {
-		name := "default-workers"
-		if workers == 1 {
-			name = "1-worker"
+	data, parity := codecShards(6), codecShards(4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.SetBytes(6 * codecShard)
+	for i := 0; i < b.N; i++ {
+		if err := code.Encode(data, parity); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			rs.SetWorkers(workers)
-			defer rs.SetWorkers(0)
-			b.SetBytes(6 * shard)
-			for i := 0; i < b.N; i++ {
-				if err := code.Encode(data, parity); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	}
+}
+
+// BenchmarkReconstruct measures rebuilding 4 of an RS(6,4) stripe's 10
+// shards (1 MiB each) from the 6 survivors: the codec call of a recovery
+// after 4 OSD losses.
+func BenchmarkReconstruct(b *testing.B) {
+	code := rs.MustNew(6, 4, rs.Vandermonde)
+	shards := append(codecShards(6), codecShards(4)...)
+	if err := code.Encode(shards[:6], shards[6:]); err != nil {
+		b.Fatal(err)
+	}
+	lost := []int{1, 3, 6, 8}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(lost)) * codecShard)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, idx := range lost {
+			shards[idx] = nil
+		}
+		if err := code.Reconstruct(shards); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -34,9 +34,10 @@ var (
 	mulLo [256][16]byte
 	mulHi [256][16]byte
 	// row16cache[c] is the lazily built double-byte product table for
-	// scalar c. Lookup and publication are atomic so concurrent kernel
-	// calls (the rs worker pool) may race on first use; a duplicate build
-	// is idempotent and only wastes the loser's work.
+	// scalar c. Lookup and publication are atomic so kernel calls from
+	// concurrent goroutines (parallel tests, independent simulations in one
+	// process) may race on first use; a duplicate build is idempotent and
+	// only wastes the loser's work.
 	row16cache [256]atomic.Pointer[[65536]uint16]
 )
 

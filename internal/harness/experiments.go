@@ -409,54 +409,42 @@ func Fig8b(w io.Writer, s Scale) error {
 
 // Sweep regenerates the batched-recycle sweep (beyond the paper): TSUE
 // update IOPS, device work and recycle timing as the per-pool recycler
-// batch size and the codec worker bound vary. Batching merges extents
-// across sealed units before the single read-modify-write, so the
-// interesting virtual-time columns are the overwrite ops actually reaching
-// the device and the mean per-extent recycle time. The codec worker bound
-// cannot move virtual-time metrics (the simulator charges device and
-// network time, not codec CPU); its effect is host wall-clock, reported in
-// the last column — expect identical IOPS rows per batch size and a
-// wall-time drop on multi-core hosts.
+// batch size varies. Batching merges extents across sealed units before
+// the single read-modify-write, so the interesting columns are the
+// overwrite ops actually reaching the device and the mean per-extent
+// recycle time.
 func Sweep(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Sweep: recycler batch size x codec workers (TSUE, SSD, Ali-Cloud, RS(6,4)) ==")
+	fmt.Fprintln(w, "== Sweep: recycler batch size (TSUE, SSD, Ali-Cloud, RS(6,4)) ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "batch\tworkers\tIOPS\tovw ops\tovw vol(MB)\tnet(MB)\tpeakLogMem(MB)\trecycle(us)\twall(ms)")
+	fmt.Fprintln(tw, "batch\tIOPS\tovw ops\tovw vol(MB)\tnet(MB)\tpeakLogMem(MB)\trecycle(us)")
 	for _, batch := range []int{1, 2, 4, 8} {
-		for _, workers := range []int{1, 4} {
-			cfg := baseRun(s)
-			cfg.Engine = "tsue"
-			cfg.Clients = 32
-			cfg.Trace = s.traceProfile("ali")
-			cfg.Opts.RecycleBatch = batch
-			cfg.Opts.CodecWorkers = workers
-			//lint:allow walltime(the wall(ms) column deliberately reports real elapsed host time of the simulation run, not sim time)
-			wallStart := time.Now()
-			r, err := Run(cfg)
-			if err != nil {
-				return fmt.Errorf("sweep batch=%d workers=%d: %w", batch, workers, err)
-			}
-			//lint:allow walltime(pairs with the wallStart measurement above)
-			wall := time.Since(wallStart)
-			// True per-extent mean across all three layers (comparable to
-			// Table 2's per-layer recycle columns).
-			var recTime time.Duration
-			var recN int64
-			for _, st := range r.Residency {
-				recTime += st.RecycleTime
-				recN += st.RecycleN
-			}
-			var rec time.Duration
-			if recN > 0 {
-				rec = recTime / time.Duration(recN)
-			}
-			fmt.Fprintf(tw, "%d\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.1f\t%d\t%d\n",
-				batch, workers, r.IOPS,
-				r.Device.OverwriteOps, float64(r.Device.OverwriteBytes)/(1<<20),
-				float64(r.Net.BytesSent)/(1<<20),
-				float64(r.PeakMem)/(1<<20),
-				rec.Microseconds(),
-				wall.Milliseconds())
+		cfg := baseRun(s)
+		cfg.Engine = "tsue"
+		cfg.Clients = 32
+		cfg.Trace = s.traceProfile("ali")
+		cfg.Opts.RecycleBatch = batch
+		r, err := Run(cfg)
+		if err != nil {
+			return fmt.Errorf("sweep batch=%d: %w", batch, err)
 		}
+		// True per-extent mean across all three layers (comparable to
+		// Table 2's per-layer recycle columns).
+		var recTime time.Duration
+		var recN int64
+		for _, st := range r.Residency {
+			recTime += st.RecycleTime
+			recN += st.RecycleN
+		}
+		var rec time.Duration
+		if recN > 0 {
+			rec = recTime / time.Duration(recN)
+		}
+		fmt.Fprintf(tw, "%d\t%.0f\t%d\t%.1f\t%.1f\t%.1f\t%d\n",
+			batch, r.IOPS,
+			r.Device.OverwriteOps, float64(r.Device.OverwriteBytes)/(1<<20),
+			float64(r.Net.BytesSent)/(1<<20),
+			float64(r.PeakMem)/(1<<20),
+			rec.Microseconds())
 	}
 	return tw.Flush()
 }

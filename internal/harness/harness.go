@@ -93,7 +93,8 @@ func DefaultRunConfig() RunConfig {
 
 // Validate rejects nonsensical run parameters with a clear error instead
 // of a downstream panic or a silent default. Everything that counts
-// something must be positive; worker bounds must not be negative.
+// something must be positive; engine options whose zero value means
+// "default" must not be negative.
 func (cfg RunConfig) Validate() error {
 	switch {
 	case cfg.Engine == "":
@@ -116,12 +117,14 @@ func (cfg RunConfig) Validate() error {
 		return fmt.Errorf("harness: PGs must be >= 1, got %d", cfg.PGs)
 	case cfg.MaxTime < 0:
 		return fmt.Errorf("harness: MaxTime must not be negative, got %v", cfg.MaxTime)
-	case cfg.Opts.CodecWorkers < 0:
-		return fmt.Errorf("harness: CodecWorkers must not be negative, got %d", cfg.Opts.CodecWorkers)
 	case cfg.Opts.RecycleBatch < 0:
 		return fmt.Errorf("harness: RecycleBatch must not be negative, got %d", cfg.Opts.RecycleBatch)
 	case cfg.Opts.Pools < 0 || cfg.Opts.MaxUnits < 0 || cfg.Opts.Copies < 0:
 		return fmt.Errorf("harness: engine pool/unit/copy counts must not be negative")
+	case cfg.Opts.MaxUnits == 1:
+		return fmt.Errorf("harness: MaxUnits must be 0 (default) or >= 2: a log pool needs one active and one recycling unit")
+	case cfg.Opts.UnitSize < 0 || cfg.Opts.CordBufferSize < 0:
+		return fmt.Errorf("harness: UnitSize and CordBufferSize must not be negative, got %d and %d", cfg.Opts.UnitSize, cfg.Opts.CordBufferSize)
 	}
 	return nil
 }

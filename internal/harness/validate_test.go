@@ -30,7 +30,9 @@ func TestRunConfigValidation(t *testing.T) {
 		{"zero pgs", func(c *RunConfig) { c.PGs = 0 }},
 		{"negative pgs", func(c *RunConfig) { c.PGs = -8 }},
 		{"negative max time", func(c *RunConfig) { c.MaxTime = -1 }},
-		{"negative codec workers", func(c *RunConfig) { c.Opts.CodecWorkers = -1 }},
+		{"one log unit", func(c *RunConfig) { c.Opts.MaxUnits = 1 }},
+		{"negative unit size", func(c *RunConfig) { c.Opts.UnitSize = -1 }},
+		{"negative cord buffer", func(c *RunConfig) { c.Engine = "cord"; c.Opts.CordBufferSize = -1 }},
 		{"negative recycle batch", func(c *RunConfig) { c.Opts.RecycleBatch = -1 }},
 		{"negative pools", func(c *RunConfig) { c.Opts.Pools = -1 }},
 	}
@@ -51,5 +53,10 @@ func TestRunConfigValidation(t *testing.T) {
 	bad.Files = 0
 	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "Files") {
 		t.Fatalf("Run with zero Files: %v", err)
+	}
+	bad = DefaultRunConfig()
+	bad.Opts.MaxUnits = 1
+	if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "MaxUnits") {
+		t.Fatalf("Run with one log unit: %v", err)
 	}
 }

@@ -16,7 +16,7 @@ var NogoroutineAnalyzer = &Analyzer{
 	Name: "nogoroutine",
 	Doc: "ban go statements, channels, select, sync and sync/atomic in " +
 		"kernel-owned packages (sim, netsim, cluster, update, obs, " +
-		"harness): concurrency flows through sim.Proc spawns only",
+		"harness, rs): concurrency flows through sim.Proc spawns only",
 	Run: runNogoroutine,
 }
 

@@ -250,7 +250,9 @@ func inInternal(path string) bool {
 // through sim.Proc spawns and all iteration order must be deterministic,
 // because a single stray goroutine or map-order dependence silently breaks
 // the byte-identical-runs-per-seed property every benchmark is pinned on.
-var kernelPkgs = []string{"sim", "netsim", "cluster", "update", "obs", "harness"}
+// rs is not kernel code, but every codec call runs inside a sim process,
+// so it stays serial and order-deterministic too.
+var kernelPkgs = []string{"sim", "netsim", "cluster", "update", "obs", "harness", "rs"}
 
 // isKernel reports whether path names a kernel-owned package.
 func isKernel(path string) bool {

@@ -12,11 +12,12 @@
 //
 // and multiple data deltas for the same intra-block range across blocks of
 // one stripe fold into a single parity delta per parity block
-// (Equation (5)). ParityDelta and MergeDataDeltas implement these.
+// (Equation (5)). ParityDelta and FoldDeltas implement these.
 package rs
 
 import (
 	"fmt"
+	"sort"
 
 	"tsue/internal/gf256"
 )
@@ -132,21 +133,16 @@ func (c *Code) Encode(data, parity [][]byte) error {
 			return fmt.Errorf("rs: parity shard %d size %d != %d", i, len(p), size)
 		}
 	}
-	// Stripe the byte range across the worker pool: each worker computes
-	// every parity row over its own sub-range, so rows stay single-writer
-	// and the data shards are read-shared.
-	stripeRanges(size, func(lo, hi int) {
-		for i := 0; i < c.M; i++ {
-			row := c.coef.Row(i)
-			out := parity[i][lo:hi]
-			for b := range out {
-				out[b] = 0
-			}
-			for j := 0; j < c.K; j++ {
-				gf256.MulXorSlice(row[j], out, data[j][lo:hi])
-			}
+	for i := 0; i < c.M; i++ {
+		row := c.coef.Row(i)
+		out := parity[i]
+		for b := range out {
+			out[b] = 0
 		}
-	})
+		for j := 0; j < c.K; j++ {
+			gf256.MulXorSlice(row[j], out, data[j])
+		}
+	}
 	return nil
 }
 
@@ -174,26 +170,90 @@ func DataDelta(dst, newData, oldData []byte) {
 	}
 }
 
-// MergeDataDeltas folds data deltas from multiple data blocks at the same
-// intra-block range into the single parity delta for parity block `parity`
-// (Equation (5)): dst ^= sum_j coef[parity][block_j] * delta_j.
-// dst must be pre-sized; each delta must have the same length as dst.
-// Large ranges stripe across the codec worker pool. For folding a whole
-// stripe's worth of irregular extents in one pass, see FoldDeltas.
-func (c *Code) MergeDataDeltas(parity int, dst []byte, blocks []int, deltas [][]byte) {
-	if len(blocks) != len(deltas) {
-		panic("rs: MergeDataDeltas blocks/deltas length mismatch")
+// DeltaExtent is one data-delta extent within a stripe: Data covers
+// [Off, Off+len(Data)) of data block Block (= Dnew XOR Dold for that range).
+type DeltaExtent struct {
+	Block int
+	Off   int64
+	Data  []byte
+}
+
+// Extent is one contiguous parity-delta range produced by FoldDeltas.
+type Extent struct {
+	Off  int64
+	Data []byte
+}
+
+// End returns the exclusive end offset.
+func (e Extent) End() int64 { return e.Off + int64(len(e.Data)) }
+
+// FoldDeltas folds a whole stripe's data-delta extents into per-parity
+// parity-delta extents in one pass — the batched form of Equation (5):
+// for every parity block i the result accumulates
+// sum_j coef[i][block_j] * delta_j over all input extents, with
+// overlapping and adjacent input ranges merged into single output extents.
+// The returned slice has one entry per parity block, each offset-sorted and
+// non-overlapping. Input extents may overlap each other arbitrarily and may
+// repeat blocks; their Data is only read. Blocks must be in [0, K).
+func (c *Code) FoldDeltas(extents []DeltaExtent) [][]Extent {
+	out := make([][]Extent, c.M)
+	if len(extents) == 0 {
+		return out
 	}
-	for i := range deltas {
-		if len(deltas[i]) != len(dst) {
-			panic("rs: MergeDataDeltas delta length mismatch")
+	for _, e := range extents {
+		if e.Block < 0 || e.Block >= c.K {
+			panic("rs: FoldDeltas block index out of range")
 		}
 	}
-	stripeRanges(len(dst), func(lo, hi int) {
-		for i, b := range blocks {
-			gf256.MulXorSlice(c.coef.At(parity, b), dst[lo:hi], deltas[i][lo:hi])
+	// Coverage union: the merged output ranges shared by every parity block.
+	type span struct{ off, end int64 }
+	spans := make([]span, 0, len(extents))
+	for _, e := range extents {
+		if len(e.Data) > 0 {
+			spans = append(spans, span{e.Off, e.Off + int64(len(e.Data))})
 		}
-	})
+	}
+	if len(spans) == 0 {
+		return out
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+	merged := spans[:1]
+	for _, s := range spans[1:] {
+		if last := &merged[len(merged)-1]; s.off <= last.end {
+			if s.end > last.end {
+				last.end = s.end
+			}
+		} else {
+			merged = append(merged, s)
+		}
+	}
+	// Locate each extent's coverage span once (every input extent lies
+	// inside exactly one, by construction of the union); the mapping is
+	// shared by all parity rows.
+	spanIdx := make([]int, len(extents))
+	for j, e := range extents {
+		if len(e.Data) == 0 {
+			spanIdx[j] = -1
+			continue
+		}
+		spanIdx[j] = sort.Search(len(merged), func(i int) bool { return merged[i].end > e.Off })
+	}
+	// One fold pass per parity block, each walking every input extent once.
+	for i := range out {
+		row := make([]Extent, len(merged))
+		for k, s := range merged {
+			row[k] = Extent{Off: s.off, Data: make([]byte, s.end-s.off)}
+		}
+		for j, e := range extents {
+			if spanIdx[j] < 0 {
+				continue
+			}
+			dst := row[spanIdx[j]]
+			gf256.MulXorSlice(c.coef.At(i, e.Block), dst.Data[e.Off-dst.Off:e.Off-dst.Off+int64(len(e.Data))], e.Data)
+		}
+		out[i] = row
+	}
+	return out
 }
 
 // Reconstruct recovers missing shards. shards has length K+M: index < K are
@@ -255,24 +315,15 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 		}
 		recRows[mi] = row
 	}
-	// The O(missing * K * size) shard rebuild dominates; stripe it across
-	// the worker pool. Each worker owns a byte sub-range of every
-	// reconstructed shard, the present shards are read-shared.
-	rec := make([][]byte, len(missing))
-	for mi := range missing {
-		rec[mi] = make([]byte, size)
-	}
-	stripeRanges(size, func(lo, hi int) {
-		for mi := range missing {
-			out := rec[mi][lo:hi]
-			row := recRows[mi]
-			for j, srcIdx := range sel {
-				gf256.MulXorSlice(row[j], out, shards[srcIdx][lo:hi])
-			}
-		}
-	})
+	// The O(missing * K * size) shard rebuild dominates. Only present
+	// shards are read, so each rebuilt shard can be installed at once.
 	for mi, idx := range missing {
-		shards[idx] = rec[mi]
+		out := make([]byte, size)
+		row := recRows[mi]
+		for j, srcIdx := range sel {
+			gf256.MulXorSlice(row[j], out, shards[srcIdx])
+		}
+		shards[idx] = out
 	}
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tsue/internal/gf256"
 )
 
 func randShards(rng *rand.Rand, k, size int) [][]byte {
@@ -176,18 +178,20 @@ func TestMergedDeltasEqualReencode(t *testing.T) {
 	// Update the same range in blocks 0, 2, 4.
 	off, n := 32, 48
 	blocks := []int{0, 2, 4}
-	deltas := make([][]byte, len(blocks))
+	extents := make([]DeltaExtent, len(blocks))
 	for i, b := range blocks {
 		newData := make([]byte, n)
 		rng.Read(newData)
-		deltas[i] = make([]byte, n)
-		DataDelta(deltas[i], newData, data[b][off:off+n])
+		delta := make([]byte, n)
+		DataDelta(delta, newData, data[b][off:off+n])
 		copy(data[b][off:off+n], newData)
+		extents[i] = DeltaExtent{Block: b, Off: int64(off), Data: delta}
 	}
-	for p := 0; p < 3; p++ {
-		merged := make([]byte, n)
-		c.MergeDataDeltas(p, merged, blocks, deltas)
-		ApplyParityDelta(parity[p][off:off+n], merged)
+	for p, row := range c.FoldDeltas(extents) {
+		if len(row) != 1 || row[0].Off != int64(off) || len(row[0].Data) != n {
+			t.Fatalf("parity %d: same-range deltas must fold to one extent, got %+v", p, row)
+		}
+		ApplyParityDelta(parity[p][off:off+n], row[0].Data)
 	}
 	ok, err := c.Verify(data, parity)
 	if err != nil || !ok {
@@ -361,21 +365,6 @@ func TestCauchyAnySquareInvertible(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeRS6_4_1MB(b *testing.B) {
-	rng := rand.New(rand.NewSource(15))
-	c := MustNew(6, 4, Vandermonde)
-	size := 1 << 20 / 6
-	data := randShards(rng, 6, size)
-	parity := makeParity(4, size)
-	b.SetBytes(int64(size * 6))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Encode(data, parity); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkParityDelta4K(b *testing.B) {
 	c := MustNew(6, 4, Vandermonde)
 	delta := make([]byte, 4096)
@@ -385,5 +374,197 @@ func BenchmarkParityDelta4K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.ParityDelta(2, 3, dst, delta)
+	}
+}
+
+// TestEncodeMatchesScalarRef pins Encode to a scalar-reference accumulation
+// of the coefficient matrix, across small, odd and multi-64 KiB lengths.
+func TestEncodeMatchesScalarRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	c := MustNew(6, 3, Vandermonde)
+	for _, size := range []int{1, 100, 4096, 65535, 131085, 327680} {
+		data := randShards(rng, 6, size)
+		parity := randShards(rng, 3, size)
+		if err := c.Encode(data, parity); err != nil {
+			t.Fatal(err)
+		}
+		for i := range parity {
+			want := make([]byte, size)
+			for j := range data {
+				gf256.MulXorSliceRef(c.Coef(i, j), want, data[j])
+			}
+			if !bytes.Equal(parity[i], want) {
+				t.Fatalf("size %d: parity %d differs from the scalar reference", size, i)
+			}
+		}
+	}
+}
+
+// TestReconstructStriped: reconstruction of large, odd-length shards must
+// recover shards byte-identical to the originals.
+func TestReconstructStriped(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	c := MustNew(5, 3, Cauchy)
+	size := 3<<16 + 7
+	data := randShards(rng, 5, size)
+	parity := randShards(rng, 3, size)
+	if err := c.Encode(data, parity); err != nil {
+		t.Fatal(err)
+	}
+	shards := make([][]byte, 8)
+	for i := 0; i < 5; i++ {
+		shards[i] = append([]byte(nil), data[i]...)
+	}
+	for i := 0; i < 3; i++ {
+		shards[5+i] = append([]byte(nil), parity[i]...)
+	}
+	shards[1], shards[4], shards[6] = nil, nil, nil
+	if err := c.Reconstruct(shards); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shards[1], data[1]) || !bytes.Equal(shards[4], data[4]) {
+		t.Fatal("reconstruct corrupted data shards")
+	}
+	if !bytes.Equal(shards[6], parity[1]) {
+		t.Fatal("reconstruct corrupted parity shard")
+	}
+}
+
+// TestFoldDeltasMatchesScalarRef pins FoldDeltas on large same-range deltas
+// (Equation (5)) to a scalar-reference accumulation.
+func TestFoldDeltasMatchesScalarRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	c := MustNew(6, 4, Vandermonde)
+	const off = 4096
+	size := 2<<16 + 33
+	deltas := randShards(rng, 3, size)
+	blocks := []int{0, 2, 5}
+	extents := make([]DeltaExtent, len(blocks))
+	for i, b := range blocks {
+		extents[i] = DeltaExtent{Block: b, Off: off, Data: deltas[i]}
+	}
+	for parity, row := range c.FoldDeltas(extents) {
+		want := make([]byte, size)
+		for i, b := range blocks {
+			gf256.MulXorSliceRef(c.Coef(parity, b), want, deltas[i])
+		}
+		if len(row) != 1 || row[0].Off != off || !bytes.Equal(row[0].Data, want) {
+			t.Fatalf("FoldDeltas diverges from the scalar reference for parity %d", parity)
+		}
+	}
+}
+
+// foldRef is the naive per-extent reference for FoldDeltas: multiply each
+// extent for each parity and XOR-accumulate into a flat per-parity image.
+func foldRef(c *Code, extents []DeltaExtent, span int64) [][]byte {
+	out := make([][]byte, c.M)
+	for i := range out {
+		out[i] = make([]byte, span)
+		for _, e := range extents {
+			tmp := make([]byte, len(e.Data))
+			gf256.MulSliceRef(c.Coef(i, e.Block), tmp, e.Data)
+			gf256.XorSliceRef(out[i][e.Off:e.Off+int64(len(e.Data))], tmp)
+		}
+	}
+	return out
+}
+
+// TestFoldDeltasMatchesNaive: the one-pass batched fold must equal the
+// per-extent reference, including overlapping, adjacent, repeated-block and
+// empty extents.
+func TestFoldDeltasMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	c := MustNew(4, 3, Vandermonde)
+	const span = 1 << 16
+	for trial := 0; trial < 30; trial++ {
+		nExt := 1 + rng.Intn(12)
+		extents := make([]DeltaExtent, 0, nExt)
+		for e := 0; e < nExt; e++ {
+			size := rng.Intn(5000)
+			off := int64(rng.Intn(span - 5000))
+			data := make([]byte, size)
+			rng.Read(data)
+			extents = append(extents, DeltaExtent{Block: rng.Intn(4), Off: off, Data: data})
+		}
+		want := foldRef(c, extents, span)
+		got := c.FoldDeltas(extents)
+		if len(got) != c.M {
+			t.Fatalf("FoldDeltas returned %d parity rows, want %d", len(got), c.M)
+		}
+		for i := range got {
+			img := make([]byte, span)
+			var prevEnd int64 = -1
+			for _, ext := range got[i] {
+				if ext.Off < prevEnd {
+					t.Fatalf("parity %d extents overlap or unsorted", i)
+				}
+				prevEnd = ext.End()
+				copy(img[ext.Off:], ext.Data)
+			}
+			if !bytes.Equal(img, want[i]) {
+				t.Fatalf("trial %d: FoldDeltas parity %d diverges from naive fold", trial, i)
+			}
+		}
+	}
+}
+
+// TestFoldDeltasMergesAdjacent: two touching extents must come back as one.
+func TestFoldDeltasMergesAdjacent(t *testing.T) {
+	c := MustNew(4, 2, Vandermonde)
+	out := c.FoldDeltas([]DeltaExtent{
+		{Block: 0, Off: 0, Data: []byte{1, 2, 3, 4}},
+		{Block: 1, Off: 4, Data: []byte{5, 6}},
+		{Block: 2, Off: 100, Data: []byte{7}},
+	})
+	for i, row := range out {
+		if len(row) != 2 {
+			t.Fatalf("parity %d: got %d extents, want 2 (adjacent ranges must merge)", i, len(row))
+		}
+		if row[0].Off != 0 || len(row[0].Data) != 6 || row[1].Off != 100 || len(row[1].Data) != 1 {
+			t.Fatalf("parity %d: wrong extent geometry %+v", i, row)
+		}
+	}
+}
+
+// TestFoldDeltasEdgeCases: empty input, zero-length extents, out-of-range
+// block panic.
+func TestFoldDeltasEdgeCases(t *testing.T) {
+	c := MustNew(3, 2, Cauchy)
+	if out := c.FoldDeltas(nil); len(out) != 2 || out[0] != nil {
+		t.Fatal("empty fold must return M empty rows")
+	}
+	out := c.FoldDeltas([]DeltaExtent{{Block: 0, Off: 9, Data: nil}})
+	for _, row := range out {
+		if len(row) != 0 {
+			t.Fatal("zero-length extents must fold to nothing")
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range block did not panic")
+		}
+	}()
+	c.FoldDeltas([]DeltaExtent{{Block: 3, Off: 0, Data: []byte{1}}})
+}
+
+// TestEncodeVerifyRoundTripLarge exercises the encode/verify round trip on
+// multi-64 KiB shards.
+func TestEncodeVerifyRoundTripLarge(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	c := MustNew(8, 4, Vandermonde)
+	size := 4 << 16
+	data := randShards(rng, 8, size)
+	parity := randShards(rng, 4, size)
+	if err := c.Encode(data, parity); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := c.Verify(data, parity)
+	if err != nil || !ok {
+		t.Fatalf("verify after encode: ok=%v err=%v", ok, err)
+	}
+	parity[2][size/2] ^= 1
+	ok, err = c.Verify(data, parity)
+	if err != nil || ok {
+		t.Fatalf("verify missed corruption: ok=%v err=%v", ok, err)
 	}
 }

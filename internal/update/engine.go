@@ -123,10 +123,6 @@ type Options struct {
 	// across units collapse before costing device or network work. 1
 	// disables batching (the paper's behavior).
 	RecycleBatch int
-	// CodecWorkers bounds the rs codec worker pool used to stripe encode,
-	// reconstruct and delta folds over large shards (0 = GOMAXPROCS).
-	// Applied process-globally when an engine is constructed.
-	CodecWorkers int
 	// RecycleThreshold is the lazy-recycle trigger for PL and PARIX parity
 	// logs (bytes per OSD).
 	RecycleThreshold int64
@@ -189,10 +185,6 @@ func (o Options) withDefaults() Options {
 // New constructs the named engine on host h.
 func New(name string, h Host, o Options) (Engine, error) {
 	o = o.withDefaults()
-	// Applied unconditionally so a run with CodecWorkers=0 really gets the
-	// documented GOMAXPROCS default rather than a bound left behind by an
-	// earlier run in the same process.
-	rs.SetWorkers(o.CodecWorkers)
 	switch name {
 	case "fo":
 		return newFO(h), nil
