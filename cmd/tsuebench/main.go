@@ -6,6 +6,8 @@
 //	tsuebench -exp all                 # every experiment, quick scale
 //	tsuebench -exp fig5 -scale full    # one experiment at paper-grid scale
 //	tsuebench -list
+//	tsuebench -exp obs -cpuprofile cpu.pprof -memprofile mem.pprof
+//	go tool pprof -top cpu.pprof
 package main
 
 import (
@@ -13,6 +15,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,6 +37,8 @@ func main() {
 	traceEvery := flag.Int("obs", 0, "trace every n-th op end-to-end (0 = off; zero-perturbation — results unchanged)")
 	jsonOut := flag.Bool("json", false, "also write machine-readable results to BENCH_<exp>.json")
 	list := flag.Bool("list", false, "list experiments and exit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the experiment run to this file")
 	flag.Parse()
 
 	exps := harness.Experiments()
@@ -95,12 +101,22 @@ func main() {
 	if *jsonOut {
 		s.Sink = &harness.Sink{}
 	}
-	start := time.Now()
-	if err := fn(os.Stdout, s); err != nil {
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "tsuebench: %v\n", err)
 		os.Exit(1)
 	}
+	start := time.Now()
+	runErr := fn(os.Stdout, s)
 	wall := time.Since(start)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "tsuebench: %v\n", err)
+		os.Exit(1)
+	}
+	if runErr != nil {
+		fmt.Fprintf(os.Stderr, "tsuebench: %v\n", runErr)
+		os.Exit(1)
+	}
 	if *jsonOut {
 		if err := writeJSON(*exp, *scale, s, wall); err != nil {
 			fmt.Fprintf(os.Stderr, "tsuebench: %v\n", err)
@@ -108,6 +124,43 @@ func main() {
 		}
 	}
 	fmt.Printf("\n(%s scale, wall time %v)\n", *scale, wall.Round(time.Millisecond))
+}
+
+// startProfiles starts a CPU profile into cpuPath (if set). The returned
+// stop ends it and writes the allocation profile into memPath (if set),
+// so both cover the experiment run only.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // settle the heap so in-use figures are current
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
 }
 
 // benchFile is the machine-readable result envelope: one BENCH_<exp>.json

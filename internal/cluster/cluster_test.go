@@ -143,6 +143,51 @@ func TestUpdateScrubContent(t *testing.T) {
 	}
 }
 
+// TestUpdateOutsideFileRejected: an update past the end of the file or at
+// a negative offset is refused by every engine before it is acked, so a
+// logging engine cannot accept a record its recycler can never apply; the
+// cluster then drains and scrubs clean, with the file unchanged.
+func TestUpdateOutsideFileRejected(t *testing.T) {
+	for _, engine := range update.Names() {
+		engine := engine
+		t.Run(engine, func(t *testing.T) {
+			run(t, testConfig(engine), func(p *sim.Proc, c *Cluster, cl *Client) {
+				content := make([]byte, c.StripeWidth())
+				rand.New(rand.NewSource(5)).Read(content)
+				ino, err := cl.Create(p, "f", int64(len(content)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.WriteFile(p, ino, content); err != nil {
+					t.Fatal(err)
+				}
+				for _, off := range []int64{
+					c.StripeWidth() + 10,   // past EOF: no such block
+					-5,                     // block 0, negative in-block offset
+					-c.StripeWidth() - 100, // wraps to a huge stripe number
+				} {
+					if err := cl.Update(p, ino, off, []byte("hello")); err == nil {
+						t.Fatalf("update at %d acked", off)
+					}
+				}
+				if err := c.DrainAll(p, cl); err != nil {
+					t.Fatal(err)
+				}
+				if n, err := c.Scrub(); err != nil || n != 1 {
+					t.Fatalf("scrub: n=%d err=%v", n, err)
+				}
+				got, err := cl.Read(p, ino, 0, int64(len(content)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, content) {
+					t.Fatal("content changed by rejected updates")
+				}
+			})
+		})
+	}
+}
+
 // TestConcurrentClientsScrub checks parity consistency under concurrent
 // multi-client updates (content is racy by design; parity must not be).
 func TestConcurrentClientsScrub(t *testing.T) {

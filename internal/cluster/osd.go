@@ -155,6 +155,14 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 			o.c.noteCorruption()
 			return &wire.Ack{Err: fmt.Sprintf("update %v: %v", v.Blk, err)}
 		}
+		// Likewise reject a range outside the block: a logging engine would
+		// ack it and fail only when its recycler reaches the block.
+		if !o.store.Has(v.Blk) {
+			return &wire.Ack{Err: fmt.Sprintf("update %v: no such block", v.Blk)}
+		}
+		if end := v.Off + int64(len(v.Data)); v.Off < 0 || end > o.store.BlockSize() {
+			return &wire.Ack{Err: fmt.Sprintf("update %v: range [%d,%d) out of block", v.Blk, v.Off, end)}
+		}
 		if err := o.engine.Update(p, v.Blk, v.Off, v.Data); err != nil {
 			return &wire.Ack{Err: err.Error()}
 		}

@@ -13,6 +13,8 @@ package logpool
 import (
 	"fmt"
 	"sort"
+
+	"tsue/internal/gf256"
 )
 
 // MergeMode selects how an overlapping insert combines with indexed data.
@@ -109,10 +111,18 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 		hi++
 	}
 	if lo == hi {
-		// No overlap: plain insert.
+		// No overlap: plain insert of a copy. The log must own its bytes:
+		// netsim hands message payloads over by pointer, and later
+		// records may merge into this buffer in place.
 		b.extents = append(b.extents, Extent{})
 		copy(b.extents[lo+1:], b.extents[lo:])
 		b.extents[lo] = Extent{Off: off, Data: append([]byte(nil), data...)}
+		return
+	}
+	if e := b.extents[lo]; hi == lo+1 && e.Off <= off && end <= e.End() {
+		// The record falls inside one extent: merge into its buffer in
+		// place, at a cost proportional to the record, not the extent.
+		merge(e.Data[off-e.Off:end-e.Off], data, mode)
 		return
 	}
 	mergedOff := off
@@ -127,23 +137,29 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 	for i := lo; i < hi; i++ {
 		copy(buf[b.extents[i].Off-mergedOff:], b.extents[i].Data)
 	}
-	dst := buf[off-mergedOff : off-mergedOff+int64(len(data))]
-	switch mode {
-	case Overwrite:
-		copy(dst, data)
-	case XOR:
-		for i := range data {
-			dst[i] ^= data[i]
-		}
-	default:
-		panic(fmt.Sprintf("logpool: unknown merge mode %d", mode))
-	}
+	merge(buf[off-mergedOff:end-mergedOff], data, mode)
 	b.extents[lo] = Extent{Off: mergedOff, Data: buf}
 	b.extents = append(b.extents[:lo+1], b.extents[hi:]...)
 }
 
+// merge combines data into dst (same length) under mode.
+func merge(dst, data []byte, mode MergeMode) {
+	switch mode {
+	case Overwrite:
+		copy(dst, data)
+	case XOR:
+		gf256.XorSlice(dst, data)
+	default:
+		panic(fmt.Sprintf("logpool: unknown merge mode %d", mode))
+	}
+}
+
 // Extents returns the merged extents in offset order. The returned slice
-// and its buffers are owned by the log; callers must not mutate them.
+// and its buffers are owned by the log: callers must not mutate them, and a
+// later Insert into the same log may rewrite them (a record that falls
+// inside one extent merges into its buffer in place). Sealed units never
+// receive inserts, which is why the recyclers and MergeUnits may alias the
+// extents of sealed units without copying them.
 func (b *BlockLog) Extents() []Extent { return b.extents }
 
 // Bytes returns the total indexed (post-merge) byte count.

@@ -102,7 +102,10 @@ func sortBlockIDs(ids []wire.BlockID) {
 //
 // The returned view is read-only and aliases the units' own (immutable
 // once sealed) logs wherever no merging happens: always for a single unit,
-// and per record in raw mode; only the non-raw multi-unit merge copies.
+// and per record in raw mode. The non-raw multi-unit merge builds a fresh
+// log: each range's first record is copied into it and later records merge
+// into that copy (in place where they fit), never into a source unit, so
+// the units stay intact as the read cache.
 // The block ID list is in the same deterministic order as Unit.Blocks.
 func MergeUnits(units []*Unit, mode MergeMode, raw bool) (map[wire.BlockID]*BlockLog, []wire.BlockID) {
 	if len(units) == 1 {

@@ -160,14 +160,21 @@ func ApplyParityDelta(parityRegion, parityDelta []byte) {
 }
 
 // DataDelta computes dst = newData XOR oldData, the data delta of
-// Equation (2). All three may alias; lengths must match.
+// Equation (2). All three may alias (be the same slice); lengths must match.
 func DataDelta(dst, newData, oldData []byte) {
 	if len(dst) != len(newData) || len(dst) != len(oldData) {
 		panic("rs: DataDelta length mismatch")
 	}
-	for i := range dst {
-		dst[i] = newData[i] ^ oldData[i]
+	if len(dst) == 0 {
+		return
 	}
+	if &dst[0] == &oldData[0] {
+		// Copying newData first would clobber oldData: fold in place.
+		gf256.XorSlice(dst, newData)
+		return
+	}
+	copy(dst, newData)
+	gf256.XorSlice(dst, oldData)
 }
 
 // DeltaExtent is one data-delta extent within a stripe: Data covers

@@ -128,6 +128,45 @@ func TestReconstructNoneMissing(t *testing.T) {
 	}
 }
 
+// TestDataDeltaMatchesScalarRef checks DataDelta against a byte-wise XOR
+// for every aliasing its contract allows, across the vector kernel's
+// 32-byte boundary.
+func TestDataDeltaMatchesScalarRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, n := range []int{0, 1, 31, 32, 33, 4097} {
+		newData, oldData := make([]byte, n), make([]byte, n)
+		rng.Read(newData)
+		rng.Read(oldData)
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = newData[i] ^ oldData[i]
+		}
+		for _, tc := range []struct {
+			name string
+			run  func(nd, od []byte) []byte
+		}{
+			{"distinct", func(nd, od []byte) []byte {
+				dst := make([]byte, n)
+				DataDelta(dst, nd, od)
+				return dst
+			}},
+			{"dst=old", func(nd, od []byte) []byte { DataDelta(od, nd, od); return od }},
+			{"dst=new", func(nd, od []byte) []byte { DataDelta(nd, nd, od); return nd }},
+		} {
+			got := tc.run(append([]byte(nil), newData...), append([]byte(nil), oldData...))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d %s: delta differs from the scalar reference", n, tc.name)
+			}
+		}
+		// All three the same slice: x ^ x = 0.
+		same := append([]byte(nil), newData...)
+		DataDelta(same, same, same)
+		if !bytes.Equal(same, make([]byte, n)) {
+			t.Fatalf("n=%d all-alias: want zeros", n)
+		}
+	}
+}
+
 // TestIncrementalEqualsReencode is the core update invariant: applying
 // Equation (2) parity deltas must equal a full re-encode.
 func TestIncrementalEqualsReencode(t *testing.T) {

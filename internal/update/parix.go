@@ -2,6 +2,7 @@ package update
 
 import (
 	"tsue/internal/logpool"
+	"tsue/internal/rs"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
 )
@@ -203,11 +204,8 @@ func (e *parix) recycleAll(p *sim.Proc) {
 			dev.Read(p, e.logZone, e.readPos, int64(len(ext.Data))*2)
 			ov := make([]byte, len(ext.Data))
 			og.Overlay(ext.Off, ov)
-			delta := make([]byte, len(ext.Data))
-			for i := range delta {
-				delta[i] = ext.Data[i] ^ ov[i]
-			}
-			pd := mulDelta(e.h.Code(), j, int(blk.Index), delta)
+			rs.DataDelta(ov, ext.Data, ov)
+			pd := mulDelta(e.h.Code(), j, int(blk.Index), ov)
 			if err := e.applyParityDelta(p, pblk, ext.Off, pd); err != nil {
 				panic("parix: recycle: " + err.Error())
 			}

@@ -443,12 +443,13 @@ func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit)
 		s := blk.StripeID()
 		osds := t.h.Placement(s)
 		for _, ext := range bl.Extents() {
-			old, err := st.ReadRange(p, blk, ext.Off, int64(len(ext.Data)))
+			// ReadRange returns a fresh copy of the old bytes; the delta
+			// overwrites it in place.
+			delta, err := st.ReadRange(p, blk, ext.Off, int64(len(ext.Data)))
 			if err != nil {
 				panic("tsue: data recycle read: " + err.Error())
 			}
-			delta := make([]byte, len(ext.Data))
-			rs.DataDelta(delta, ext.Data, old)
+			rs.DataDelta(delta, ext.Data, delta)
 			if err := st.WriteRange(p, blk, ext.Off, ext.Data); err != nil {
 				panic("tsue: data recycle write: " + err.Error())
 			}
